@@ -1,12 +1,11 @@
 """loopexp: exact-rational engine for loop-algebra expansions of canonical forms."""
 
-from .algebra import (AlgebraElement, BUILTIN_NAMES, ContradictoryEntries,
-                      IndexOutOfRange, StructureConstants, ValidationReport,
-                      algebra_from_dict, algebra_to_dict, bracket, builtin_algebra,
-                      jacobi_defect, load_algebra, validate)
+from .algebra import (BUILTIN_NAMES, ContradictoryEntries, IndexOutOfRange,
+                      StructureConstants, ValidationReport, algebra_from_dict,
+                      algebra_to_dict, builtin_algebra, load_algebra, validate)
 from .contraction import (ContractedAlgebra, ContractionDiff, WrongSplitKind,
                           compare_with_expansion, contracted_jacobi_residuals,
-                          iw_contract, sector_contract)
+                          iw_contract)
 from .expansion import (ClosureReport, ClosureViolation, ExpandedAlgebra,
                         ExpandedJacobiReport, ExpandedLabel, InadmissibleLabel,
                         NAMED_CASES, NotClosed, UnknownCase, build_named,

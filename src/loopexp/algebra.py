@@ -16,7 +16,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
+
+from .loop import LoopLabel, jacobi_sweep, loop_bracket
 
 
 class IndexOutOfRange(ValueError):
@@ -135,81 +137,6 @@ class StructureConstants:
         return f"StructureConstants({label!r}, dim={self.dim}, nnz={len(self.entries)})"
 
 
-class AlgebraElement:
-    """Sparse rational vector in the span of the generators."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, object] | Iterable[tuple[int, object]] = ()):
-        store: dict[int, Fraction] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for idx, raw in items:
-            value = parse_rational(raw)
-            if value:
-                store[idx] = store.get(idx, Fraction(0)) + value
-                if not store[idx]:
-                    del store[idx]
-        self.coeffs = store
-
-    @classmethod
-    def basis(cls, idx: int) -> "AlgebraElement":
-        return cls({idx: Fraction(1)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.coeffs)
-        for idx, value in other.coeffs.items():
-            out[idx] = out.get(idx, Fraction(0)) + value
-        return AlgebraElement(out)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement({i: -v for i, v in self.coeffs.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "AlgebraElement":
-        factor = parse_rational(scalar)
-        return AlgebraElement({i: factor * v for i, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlgebraElement) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "AlgebraElement(0)"
-        body = " + ".join(f"({v})e{i}" for i, v in sorted(self.coeffs.items()))
-        return f"AlgebraElement({body})"
-
-
-def bracket(f: StructureConstants, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of [T_a, T_b] = f_{ab}^c T_c."""
-    for element in (x, y):
-        for idx in element.coeffs:
-            f._check_index(idx)
-    out: dict[int, Fraction] = {}
-    for a, xa in x.coeffs.items():
-        for b, yb in y.coeffs.items():
-            for c, v in f.pair_targets(a, b):
-                out[c] = out.get(c, Fraction(0)) + xa * yb * v
-    return AlgebraElement(out)
-
-
-def jacobi_defect(f: StructureConstants, a: int, b: int, c: int) -> AlgebraElement:
-    """[[T_a,T_b],T_c] + [[T_b,T_c],T_a] + [[T_c,T_a],T_b]; zero for a Lie algebra."""
-    for idx in (a, b, c):
-        f._check_index(idx)
-    ea, eb, ec = (AlgebraElement.basis(i) for i in (a, b, c))
-    return (bracket(f, bracket(f, ea, eb), ec)
-            + bracket(f, bracket(f, eb, ec), ea)
-            + bracket(f, bracket(f, ec, ea), eb))
-
-
 @dataclass
 class ValidationReport:
     """Antisymmetry and Jacobi audit; both lists empty iff the tensor is a Lie algebra."""
@@ -236,12 +163,10 @@ def validate(f: StructureConstants) -> ValidationReport:
         if lhs != rhs:
             report.antisymmetry.append((key[0], key[1], c, lhs, rhs))
     report.antisymmetry.sort()
-    for a in range(1, f.dim + 1):
-        for b in range(1, f.dim + 1):
-            for c in range(1, f.dim + 1):
-                defect = jacobi_defect(f, a, b, c)
-                for e, residual in sorted(defect.coeffs.items()):
-                    report.jacobi.append((a, b, c, e, residual))
+    # The base algebra is the mode-0 slice of its loop algebra.
+    labels = [LoopLabel(a, 0) for a in range(1, f.dim + 1)]
+    rows, _, _ = jacobi_sweep(labels, lambda x, y: loop_bracket(f, x, y), 0)
+    report.jacobi = [(x.gen, y.gen, z.gen, e.gen, r) for x, y, z, e, r in rows]
     return report
 
 

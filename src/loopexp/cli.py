@@ -19,13 +19,12 @@ from .algebra import (BUILTIN_NAMES, ContradictoryEntries, IndexOutOfRange,
                       load_algebra, validate)
 from .contraction import compare_with_expansion, iw_contract
 from .expansion import (NAMED_CASES, ExpandedAlgebra, ExpandedLabel, build_named,
-                        check_closure, check_jacobi_expanded, expanded_key,
-                        generator_set)
-from .loop import LoopLabel, ModeWindow
+                        check_closure)
+from .loop import ModeWindow
 from .mcforms import (DegreeTooLow, canonical_form_series, check_grading,
                       graded_series_json, rescale_and_collect, verify_mc_equations)
 from .splitting import (InvalidParams, SplitKind, Splitting, make_splitting,
-                        split_to_dict)
+                        split_from_dict, split_to_dict)
 
 
 class UsageError(ValueError):
@@ -51,11 +50,11 @@ class RunConfig:
 
 
 def _parse_v0(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(x) for x in text)
     try:
+        if isinstance(text, (list, tuple)):
+            return tuple(int(x) for x in text)
         return tuple(int(piece) for piece in str(text).split(",") if piece.strip())
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"cannot parse v0 generator list {text!r}") from exc
 
 
@@ -72,7 +71,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if getattr(args, "config", None):
         data = _load_config_file(args.config)
+    if not isinstance(data, dict):
+        raise UsageError("a config file must hold a JSON object")
     split_spec = data.get("splitting", {})
+    if not isinstance(split_spec, dict):
+        raise UsageError("the config's splitting must be a JSON object")
 
     def pick(flag_value, file_value, default):
         if flag_value is not None:
@@ -82,16 +85,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         return default
 
     algebra = pick(getattr(args, "algebra", None), data.get("algebra"), None)
-    if algebra is None:
-        raise UsageError("no algebra given (use --algebra or a config file)")
+    if not isinstance(algebra, str):
+        raise UsageError("no algebra name or file given (use --algebra or a config file)")
+    v0_gens = pick(getattr(args, "v0_gens", None), split_spec.get("v0_gens"), None)
     config = RunConfig(
         command=args.command,
         algebra=algebra,
         split_kind=pick(getattr(args, "split", None), split_spec.get("kind"), None),
-        v0_gens=(_parse_v0(pick(getattr(args, "v0_gens", None),
-                                split_spec.get("v0_gens"), None))
-                 if pick(getattr(args, "v0_gens", None), split_spec.get("v0_gens"), None)
-                 else None),
+        v0_gens=_parse_v0(v0_gens) if v0_gens else None,
         n0=pick(getattr(args, "n0", None), data.get("n0"), 0),
         n1=pick(getattr(args, "n1", None), data.get("n1"), 0),
         window=pick(getattr(args, "window", None), data.get("window"), 1),
@@ -103,9 +104,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         out=getattr(args, "out", None),
         fmt=getattr(args, "format", None) or "json",
     )
-    for name in ("n0", "n1", "window", "degree", "alpha_max"):
-        if getattr(config, name) < 0:
-            raise UsageError(f"{name} must be non-negative")
+    for name in ("n0", "n1", "window", "degree", "alpha_max", "n0_max", "n1_max"):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise UsageError(f"{name} must be a non-negative integer, got {value!r}")
     return config
 
 
@@ -127,12 +129,8 @@ def _make_split(config: RunConfig, dim: int) -> Splitting:
     if config.split_kind is None:
         raise UsageError("a splitting is required (use --split)")
     try:
-        kind = SplitKind(config.split_kind)
-        return make_splitting(
-            kind,
-            v0_gens=frozenset(config.v0_gens) if config.v0_gens else None,
-            dim=dim if kind is SplitKind.GENERIC_INDEX else None)
-    except (InvalidParams, ValueError) as exc:
+        return split_from_dict({"kind": config.split_kind, "v0_gens": config.v0_gens}, dim)
+    except InvalidParams as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -196,45 +194,34 @@ def _resolve_expansion(config: RunConfig, f: StructureConstants,
     return ExpandedAlgebra.build(f, split, config.n0, config.n1, window)
 
 
-def _constants_json(alg: ExpandedAlgebra) -> list[list]:
-    rows = []
-    retained = set(alg.generators)
+def _retained_brackets(alg: ExpandedAlgebra):
+    """Yield ``(x, y, {z: value})`` for each windowed generator pair x < y whose
+    bracket has retained terms."""
     for i, x in enumerate(alg.generators):
         for y in alg.generators[i + 1:]:
-            mode = x.mode + y.mode
-            if not alg.window.contains(mode):
-                continue
-            order = x.order + y.order
-            for c, v in alg.base.pair_targets(x.gen, y.gen):
-                z = ExpandedLabel(c, mode, order,
-                                  alg.split.sector(LoopLabel(c, mode)))
-                if z in retained:
-                    rows.append([_label_json(x), _label_json(y), _label_json(z),
-                                 format_rational(v)])
-    return rows
+            if alg.window.contains(x.mode + y.mode):
+                terms = alg.bracket(x, y)
+                if terms:
+                    yield x, y, terms
+
+
+def _constants_json(alg: ExpandedAlgebra) -> list[list]:
+    return [[_label_json(x), _label_json(y), _label_json(z), format_rational(v)]
+            for x, y, terms in _retained_brackets(alg) for z, v in terms.items()]
 
 
 def _latex_tables(alg: ExpandedAlgebra) -> str:
     lines = ["% commutator tables, one block per order pair"]
     by_orders: dict[tuple[int, int], list[str]] = {}
-    retained = set(alg.generators)
-    for i, x in enumerate(alg.generators):
-        for y in alg.generators[i + 1:]:
-            mode = x.mode + y.mode
-            if not alg.window.contains(mode):
-                continue
-            order = x.order + y.order
-            pieces = []
-            for c, v in alg.base.pair_targets(x.gen, y.gen):
-                z = ExpandedLabel(c, mode, order, alg.split.sector(LoopLabel(c, mode)))
-                if z in retained:
-                    coef = "" if v == 1 else ("-" if v == -1 else f"{v}\\,")
-                    pieces.append(f"{coef}T_{{{z.gen},{z.mode}}}^{{({z.order})}}")
-            if pieces:
-                row = (f"[T_{{{x.gen},{x.mode}}}^{{({x.order})}},"
-                       f"T_{{{y.gen},{y.mode}}}^{{({y.order})}}] &= "
-                       + " + ".join(pieces).replace("+ -", "- ") + r" \\")
-                by_orders.setdefault((x.order, y.order), []).append(row)
+    for x, y, terms in _retained_brackets(alg):
+        pieces = []
+        for z, v in terms.items():
+            coef = "" if v == 1 else ("-" if v == -1 else f"{v}\\,")
+            pieces.append(f"{coef}T_{{{z.gen},{z.mode}}}^{{({z.order})}}")
+        row = (f"[T_{{{x.gen},{x.mode}}}^{{({x.order})}},"
+               f"T_{{{y.gen},{y.mode}}}^{{({y.order})}}] &= "
+               + " + ".join(pieces).replace("+ -", "- ") + r" \\")
+        by_orders.setdefault((x.order, y.order), []).append(row)
     for orders in sorted(by_orders):
         lines.append(f"% orders {orders}")
         lines.append(r"\begin{align*}")

@@ -6,7 +6,9 @@ exactly when the target sector equals the sum of the source sectors, i.e. on
 the patterns (0,0->0) and (0,1->1)/(1,0->1); everything else is zero.  On the
 mode-parity coset this is the contraction with respect to the even-mode
 subalgebra, and it reproduces the order-(0,1) expansion generator-for-
-generator.
+generator.  :meth:`ContractedAlgebra.bracket` is the masked bracket that
+:func:`contracted_jacobi_residuals` supplies to the shared sweep
+:func:`loopexp.loop.jacobi_sweep`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import NamedTuple
 
 from .algebra import StructureConstants
 from .expansion import ExpandedAlgebra, ExpandedLabel, expanded_constant
-from .loop import LoopLabel, ModeWindow, enumerate_generators, loop_structure_constant
+from .loop import (LoopLabel, ModeWindow, enumerate_generators, jacobi_sweep,
+                   loop_structure_constant)
 from .splitting import SplitKind, Splitting
 
 
@@ -56,44 +59,19 @@ class ContractedAlgebra:
         return out
 
 
-def sector_contract(f: StructureConstants, s: Splitting, window: ModeWindow) -> ContractedAlgebra:
-    """Apply the survival mask for any splitting kind."""
-    return ContractedAlgebra(f, s, window)
-
-
 def iw_contract(f: StructureConstants, s: Splitting, window: ModeWindow) -> ContractedAlgebra:
     """Contraction with respect to the even-mode subalgebra; parity coset only."""
     if s.kind is not SplitKind.MODE_PARITY_COSET:
         raise WrongSplitKind(f"contraction equivalence requires the mode-parity "
                              f"coset, got {s.kind.value}")
-    return sector_contract(f, s, window)
+    return ContractedAlgebra(f, s, window)
 
 
 def contracted_jacobi_residuals(alg: ContractedAlgebra
                                 ) -> tuple[list[tuple[LoopLabel, LoopLabel, LoopLabel, LoopLabel, Fraction]], int]:
     """Windowed cyclic Jacobi sweep of the masked constants."""
-    labels = enumerate_generators(alg.base, alg.window)
-    bound = alg.window.max_abs_mode
-    rows = []
-    checked = 0
-    for x in labels:
-        for y in labels:
-            if abs(x.mode + y.mode) > bound:
-                continue
-            for z in labels:
-                if (abs(y.mode + z.mode) > bound or abs(z.mode + x.mode) > bound
-                        or abs(x.mode + y.mode + z.mode) > bound):
-                    continue
-                checked += 1
-                total = x.mode + y.mode + z.mode
-                acc: dict[int, Fraction] = {}
-                for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-                    for mid, f1 in alg.bracket(u, v).items():
-                        for out, f2 in alg.bracket(mid, w).items():
-                            acc[out.gen] = acc.get(out.gen, Fraction(0)) + f1 * f2
-                for gen, value in sorted(acc.items()):
-                    if value:
-                        rows.append((x, y, z, LoopLabel(gen, total), value))
+    rows, checked, _ = jacobi_sweep(enumerate_generators(alg.base, alg.window), alg.bracket,
+                                    alg.window.max_abs_mode)
     return rows, checked
 
 

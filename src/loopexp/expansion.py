@@ -9,7 +9,9 @@ the splitting.  Structure constants factor through two deltas,
 and components above the truncation orders are quotiented to zero.  Closure
 asks that every retained one-form equation reference only retained one-forms;
 this is the criterion the truncation-order theorems are about, and it is what
-:func:`check_closure` scans.
+:func:`check_closure` scans.  :func:`check_jacobi_expanded` supplies the
+truncated bracket :meth:`ExpandedAlgebra.bracket` to the shared sweep
+:func:`loopexp.loop.jacobi_sweep`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import StructureConstants
-from .loop import LoopLabel, ModeWindow
+from .loop import LoopLabel, ModeWindow, jacobi_sweep
 from .splitting import SplitKind, Splitting, make_splitting
 
 
@@ -187,48 +189,18 @@ def check_jacobi_expanded(f: StructureConstants, s: Splitting, n0: int, n1: int,
                           window: ModeWindow) -> ExpandedJacobiReport:
     """Cyclic Jacobi sweep with the truncation quotient applied to intermediates.
 
-    Requires closure first; raises NotClosed otherwise.  The triple domain is
-    restricted to windowed pairwise and total mode sums, as in the loop sweep.
+    Requires closure first; raises NotClosed otherwise.  The sweep uses
+    :meth:`ExpandedAlgebra.bracket`, so intermediates above the truncation
+    orders vanish.
     """
     closure = check_closure(f, s, n0, n1, window)
     if not closure.closed:
         raise NotClosed(f"truncation ({n0},{n1}) is not closed; "
                         f"{len(closure.violations)} violations")
-    labels = generator_set(f, s, n0, n1, window)
-    bound = window.max_abs_mode
-    report = ExpandedJacobiReport(ok=True)
-    for x in labels:
-        for y in labels:
-            if abs(x.mode + y.mode) > bound:
-                report.window_skipped += 1
-                continue
-            for z in labels:
-                if (abs(y.mode + z.mode) > bound or abs(z.mode + x.mode) > bound
-                        or abs(x.mode + y.mode + z.mode) > bound):
-                    report.window_skipped += 1
-                    continue
-                report.triples_checked += 1
-                total_mode = x.mode + y.mode + z.mode
-                total_order = x.order + y.order + z.order
-                acc: dict[int, Fraction] = {}
-                for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-                    mid_mode = u.mode + v.mode
-                    mid_order = u.order + v.order
-                    for c1, f1 in f.pair_targets(u.gen, v.gen):
-                        mid = make_label(s, c1, mid_mode, mid_order)
-                        if mid is None or not is_retained(s, n0, n1, mid):
-                            continue
-                        for c2, f2 in f.pair_targets(c1, w.gen):
-                            out = make_label(s, c2, total_mode, total_order)
-                            if out is None or not is_retained(s, n0, n1, out):
-                                continue
-                            acc[c2] = acc.get(c2, Fraction(0)) + f1 * f2
-                for c2, value in sorted(acc.items()):
-                    if value:
-                        target = make_label(s, c2, total_mode, total_order)
-                        report.residuals.append(JacobiResidual(x, y, z, target, value))
-    report.ok = not report.residuals
-    return report
+    alg = ExpandedAlgebra.build(f, s, n0, n1, window)
+    rows, checked, skipped = jacobi_sweep(alg.generators, alg.bracket, window.max_abs_mode)
+    residuals = [JacobiResidual(*r) for r in rows]
+    return ExpandedJacobiReport(not residuals, residuals, checked, skipped)
 
 
 @dataclass(frozen=True)
@@ -250,6 +222,15 @@ class ExpandedAlgebra:
 
     def contains(self, label: ExpandedLabel) -> bool:
         return is_retained(self.split, self.n0, self.n1, label)
+
+    def bracket(self, x: ExpandedLabel, y: ExpandedLabel) -> dict[ExpandedLabel, Fraction]:
+        """The retained terms of [x, y]; terms above the truncation orders vanish."""
+        out = {}
+        for c, v in self.base.pair_targets(x.gen, y.gen):
+            z = make_label(self.split, c, x.mode + y.mode, x.order + y.order)
+            if z is not None and self.contains(z):
+                out[z] = v
+        return out
 
     def constant(self, x: ExpandedLabel, y: ExpandedLabel, z: ExpandedLabel) -> Fraction:
         for label in (x, y, z):

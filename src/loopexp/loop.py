@@ -3,15 +3,20 @@
 The algebra itself is infinite-dimensional; structure constants are evaluated
 symbolically in the mode via the delta factor, and :class:`ModeWindow` only
 bounds enumeration and verification sweeps.
+
+:func:`jacobi_sweep` is the package's one cyclic Jacobi sweep: the base, loop,
+expanded and contracted algebras each supply only a bracket on their labels,
+and :func:`loop_bracket` is the loop algebra's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Callable, Hashable, NamedTuple, Sequence
 
-from .algebra import StructureConstants
+if TYPE_CHECKING:
+    from .algebra import StructureConstants
 
 
 class LoopLabel(NamedTuple):
@@ -71,34 +76,56 @@ def enumerate_generators(f: StructureConstants, window: ModeWindow) -> list[Loop
     return [LoopLabel(a, n) for n in window.modes() for a in range(1, f.dim + 1)]
 
 
-def jacobi_residuals(f: StructureConstants, window: ModeWindow
-                     ) -> tuple[list[tuple[LoopLabel, LoopLabel, LoopLabel, LoopLabel, Fraction]], int]:
-    """Cyclic Jacobi sweep over windowed triples.
+def jacobi_sweep(labels: Sequence, bracket: Callable[[Hashable, Hashable], dict],
+                 bound: int) -> tuple[list[tuple], int, int]:
+    """Cyclic Jacobi sweep [[x,y],z] + [[y,z],x] + [[z,x],y] over label triples.
 
-    Only triples whose pairwise and total mode sums stay inside the window are
-    checked, so window edges cannot produce spurious residuals.  Returns the
-    nonzero residual rows and the number of triples checked.
+    ``bracket(u, v)`` returns the nonzero ``{label: coefficient}`` row of
+    [u, v]; its rows are memoised for this call only.  Only triples whose
+    pairwise and total mode sums stay within ``bound`` are checked, so window
+    edges cannot produce spurious residuals.  Returns the nonzero residual
+    rows ``(x, y, z, target, value)`` (targets sorted within a triple), the
+    triples checked, and the window skips: one per skipped pair plus one per
+    skipped third label of a kept pair.
     """
-    labels = enumerate_generators(f, window)
-    bound = window.max_abs_mode
-    rows: list[tuple[LoopLabel, LoopLabel, LoopLabel, LoopLabel, Fraction]] = []
-    checked = 0
+    table: dict[tuple, tuple] = {}
+
+    def row(u, v) -> tuple:
+        if (u, v) not in table:
+            table[u, v] = tuple(bracket(u, v).items())
+        return table[u, v]
+
+    rows: list[tuple] = []
+    checked = skipped = 0
     for x in labels:
         for y in labels:
             if abs(x.mode + y.mode) > bound:
+                skipped += 1
                 continue
             for z in labels:
                 if (abs(y.mode + z.mode) > bound or abs(z.mode + x.mode) > bound
                         or abs(x.mode + y.mode + z.mode) > bound):
+                    skipped += 1
                     continue
                 checked += 1
-                total = x.mode + y.mode + z.mode
-                acc: dict[int, Fraction] = {}
+                acc: dict = {}
                 for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-                    for c1, f1 in f.pair_targets(u.gen, v.gen):
-                        for c2, f2 in f.pair_targets(c1, w.gen):
-                            acc[c2] = acc.get(c2, Fraction(0)) + f1 * f2
-                for c2, value in sorted(acc.items()):
+                    for mid, f1 in row(u, v):
+                        for out, f2 in row(mid, w):
+                            acc[out] = acc.get(out, 0) + f1 * f2
+                for target, value in sorted(acc.items()):
                     if value:
-                        rows.append((x, y, z, LoopLabel(c2, total), value))
+                        rows.append((x, y, z, target, value))
+    return rows, checked, skipped
+
+
+def jacobi_residuals(f: StructureConstants, window: ModeWindow
+                     ) -> tuple[list[tuple[LoopLabel, LoopLabel, LoopLabel, LoopLabel, Fraction]], int]:
+    """Windowed cyclic Jacobi sweep of the loop algebra.
+
+    Returns the nonzero residual rows and the number of triples checked.
+    """
+    rows, checked, _ = jacobi_sweep(enumerate_generators(f, window),
+                                    lambda x, y: loop_bracket(f, x, y),
+                                    window.max_abs_mode)
     return rows, checked

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .algebra import StructureConstants
 from .loop import LoopLabel, ModeWindow, enumerate_generators
@@ -78,43 +78,43 @@ class SplitCheckReport:
     window_censored: int = 0
 
 
-def check_subalgebra(f: StructureConstants, s: Splitting, window: ModeWindow) -> SplitCheckReport:
-    """Does every windowed bracket of two sector-0 labels land in sector 0?"""
-    report = SplitCheckReport()
-    labels = [lab for lab in enumerate_generators(f, window) if s.sector(lab) == 0]
+def _sector_scan(f: StructureConstants, s: Splitting, window: ModeWindow,
+                 labels: list[LoopLabel], expected: Callable[[LoopLabel, LoopLabel], int]
+                 ) -> tuple[list[SectorWitness], int]:
+    """Windowed scan of every ordered label pair for a bracket term whose target
+    sector is not ``expected(x, y)``; returns the witnesses and the number of
+    nonzero pairs censored because their mode sum leaves the window."""
+    witnesses: list[SectorWitness] = []
+    censored = 0
     for x in labels:
         for y in labels:
             mode = x.mode + y.mode
             if not window.contains(mode):
                 if f.pair_targets(x.gen, y.gen):
-                    report.window_censored += 1
+                    censored += 1
                 continue
+            want = expected(x, y)
             for c, v in f.pair_targets(x.gen, y.gen):
                 z = LoopLabel(c, mode)
-                if s.sector(z) != 0:
-                    report.subalgebra_witnesses.append(SectorWitness(x, y, z, v))
-    report.is_subalgebra_v0 = not report.subalgebra_witnesses
-    return report
+                if s.sector(z) != want:
+                    witnesses.append(SectorWitness(x, y, z, v))
+    return witnesses, censored
+
+
+def check_subalgebra(f: StructureConstants, s: Splitting, window: ModeWindow) -> SplitCheckReport:
+    """Does every windowed bracket of two sector-0 labels land in sector 0?"""
+    labels = [lab for lab in enumerate_generators(f, window) if s.sector(lab) == 0]
+    witnesses, censored = _sector_scan(f, s, window, labels, lambda x, y: 0)
+    return SplitCheckReport(is_subalgebra_v0=not witnesses, subalgebra_witnesses=witnesses,
+                            window_censored=censored)
 
 
 def check_symmetric_coset(f: StructureConstants, s: Splitting, window: ModeWindow) -> SplitCheckReport:
     """Do the constants vanish whenever the target sector breaks the mod-2 sum rule?"""
-    report = SplitCheckReport()
-    labels = enumerate_generators(f, window)
-    for x in labels:
-        for y in labels:
-            mode = x.mode + y.mode
-            if not window.contains(mode):
-                if f.pair_targets(x.gen, y.gen):
-                    report.window_censored += 1
-                continue
-            expected = (s.sector(x) + s.sector(y)) % 2
-            for c, v in f.pair_targets(x.gen, y.gen):
-                z = LoopLabel(c, mode)
-                if s.sector(z) != expected:
-                    report.coset_witnesses.append(SectorWitness(x, y, z, v))
-    report.is_symmetric_coset = not report.coset_witnesses
-    return report
+    witnesses, censored = _sector_scan(f, s, window, enumerate_generators(f, window),
+                                       lambda x, y: (s.sector(x) + s.sector(y)) % 2)
+    return SplitCheckReport(is_symmetric_coset=not witnesses, coset_witnesses=witnesses,
+                            window_censored=censored)
 
 
 def split_to_dict(s: Splitting) -> dict:

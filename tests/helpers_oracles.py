@@ -34,6 +34,14 @@ def oracle_jacobi_residual(dim: int, raw_entries: dict, a: int, b: int, c: int,
     return total
 
 
+def oracle_jacobi_defects(dim: int, raw_entries: dict) -> list:
+    """Every nonzero residual as (a, b, c, e, value), in index order."""
+    rng = range(1, dim + 1)
+    rows = [(a, b, c, e, oracle_jacobi_residual(dim, raw_entries, a, b, c, e))
+            for a in rng for b in rng for c in rng for e in rng]
+    return [row for row in rows if row[4]]
+
+
 def oracle_jacobi_clean(dim: int, raw_entries: dict) -> bool:
     """Every index tuple passes the Jacobi identity."""
     rng = range(1, dim + 1)

@@ -204,3 +204,19 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         assert run("expand", *EPS_ARGS, "--case", "G21", "--window", "1",
                    "--out", str(out)) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["expand", "--split", "mode_parity"], {"algebra": "epsilon3", "window": "2"}),
+    (["validate"], ["epsilon3"]),
+    (["sweep", "-a", "epsilon3", "--split", "mode_parity", "--n0-max", "-1"], None),
+], ids=["string-window", "list-config", "negative-n0-max"])
+def test_malformed_config_is_usage_error(argv, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+    assert run(*argv, "--out", str(tmp_path / "out.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()

@@ -4,23 +4,17 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from loopexp import (AlgebraElement, ContradictoryEntries, IndexOutOfRange,
-                     StructureConstants, algebra_from_dict, algebra_to_dict,
-                     bracket, builtin_algebra, jacobi_defect, load_algebra,
-                     validate)
+from loopexp import (ContradictoryEntries, IndexOutOfRange, StructureConstants,
+                     algebra_from_dict, algebra_to_dict, builtin_algebra,
+                     load_algebra, validate)
 from loopexp.algebra import BUILTIN_NAMES, parse_rational
 
-from helpers_oracles import oracle_jacobi_clean, oracle_jacobi_residual
+from helpers_oracles import (oracle_jacobi_clean, oracle_jacobi_defects,
+                             oracle_jacobi_residual)
 
 EPS = builtin_algebra("epsilon3")
 SOLV = builtin_algebra("solvable2")
-
-
-def e(i):
-    return AlgebraElement.basis(i)
 
 
 def test_epsilon_validates_clean():
@@ -66,50 +60,35 @@ def test_out_of_range_index_rejected():
 
 
 def test_bracket_basis_pair():
-    assert bracket(EPS, e(1), e(2)) == e(3)
+    assert EPS.pair_targets(1, 2) == ((3, Fraction(1)),)
 
 
 def test_bracket_of_element_with_itself_vanishes():
-    x = AlgebraElement({1: 2, 2: Fraction(-1, 3), 3: 5})
-    assert bracket(EPS, x, x).is_zero
-
-
-def test_bracket_bilinear_scaling():
-    assert bracket(EPS, 2 * e(1), 3 * e(2)) == 6 * e(3)
-
-
-elements = st.builds(
-    AlgebraElement,
-    st.dictionaries(st.integers(1, 3),
-                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
-                    max_size=3))
-scalars = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
-
-
-@given(elements, elements, elements, scalars, scalars)
-def test_bracket_bilinearity(x, xp, y, alpha, beta):
-    lhs = bracket(EPS, alpha * x + beta * xp, y)
-    rhs = alpha * bracket(EPS, x, y) + beta * bracket(EPS, xp, y)
-    assert lhs == rhs
+    # [x, x] = 0 for every element x iff the table is alternating.
+    for a in range(1, 4):
+        assert EPS.pair_targets(a, a) == ()
+        for b in range(1, 4):
+            mirrored = tuple((c, -v) for c, v in EPS.pair_targets(b, a))
+            assert EPS.pair_targets(a, b) == mirrored
 
 
 def test_jacobi_defect_vanishes_on_epsilon():
-    assert jacobi_defect(EPS, 1, 2, 3).is_zero
+    assert all(oracle_jacobi_residual(3, EPS.entries, 1, 2, 3, e) == 0 for e in range(1, 4))
+    assert not [row for row in validate(EPS).jacobi if row[:3] == (1, 2, 3)]
 
 
 def test_jacobi_defect_repeated_index():
-    assert jacobi_defect(EPS, 1, 1, 2).is_zero
-    assert jacobi_defect(SOLV, 1, 1, 2).is_zero
+    for f in (EPS, SOLV):
+        assert all(oracle_jacobi_residual(f.dim, f.entries, 1, 1, 2, e) == 0
+                   for e in range(1, f.dim + 1))
+        assert not [row for row in validate(f).jacobi if row[:3] == (1, 1, 2)]
 
 
 def test_jacobi_defect_matches_validate_everywhere():
-    # Cross-check of the two code paths on every builtin.
+    # The sweep behind validate agrees with the dense oracle, row for row.
     for name in BUILTIN_NAMES:
         f = builtin_algebra(name)
-        rng = range(1, f.dim + 1)
-        all_zero = all(jacobi_defect(f, a, b, c).is_zero
-                       for a in rng for b in rng for c in rng)
-        assert all_zero == (validate(f).jacobi == [])
+        assert validate(f).jacobi == oracle_jacobi_defects(f.dim, f.entries) == []
 
 
 def test_lone_entry_is_flagged_but_nilpotent():
@@ -117,8 +96,7 @@ def test_lone_entry_is_flagged_but_nilpotent():
     # is too short to produce any Jacobi residual.
     f = StructureConstants(3, {(1, 2, 3): 1})
     report = validate(f)
-    rng = range(1, 4)
-    assert all(jacobi_defect(f, a, b, c).is_zero for a in rng for b in rng for c in rng)
+    assert oracle_jacobi_defects(f.dim, f.entries) == []
     assert report.jacobi == []
     assert report.is_valid  # the lone entry mirror-completes to Heisenberg
 
@@ -126,17 +104,9 @@ def test_lone_entry_is_flagged_but_nilpotent():
 def test_broken_jacobi_has_nonzero_defect_somewhere():
     # Antisymmetric but non-Jacobi tensor: [T1,T2]=T1, [T1,T3]=T3.
     f = StructureConstants(3, {(1, 2, 1): 1, (1, 3, 3): 1})
-    rng = range(1, 4)
-    defects = [(a, b, c) for a in rng for b in rng for c in rng
-               if not jacobi_defect(f, a, b, c).is_zero]
-    assert defects
     report = validate(f)
     assert report.jacobi != [] and not report.is_valid
-    # engine and oracle agree on a witness tuple
-    a, b, c = defects[0]
-    element = jacobi_defect(f, a, b, c)
-    for target, residual in element.coeffs.items():
-        assert oracle_jacobi_residual(3, f.entries, a, b, c, target) == residual
+    assert report.jacobi == oracle_jacobi_defects(f.dim, f.entries)
 
 
 def test_parse_rational_rules():
