@@ -84,6 +84,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             return file_value
         return default
 
+    case = getattr(args, "case", None)
+    clashing = [name for name in ("split", "v0_gens", "n0", "n1")
+                if getattr(args, name, None) is not None]
+    if case is not None and clashing:
+        raise UsageError("--case fixes the splitting and orders; it cannot be combined "
+                         "with " + ", ".join("--" + name.replace("_", "-") for name in clashing))
     algebra = pick(getattr(args, "algebra", None), data.get("algebra"), None)
     if not isinstance(algebra, str):
         raise UsageError("no algebra name or file given (use --algebra or a config file)")
@@ -98,7 +104,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         window=pick(getattr(args, "window", None), data.get("window"), 1),
         degree=pick(getattr(args, "degree", None), data.get("degree"), 4),
         alpha_max=pick(getattr(args, "alpha_max", None), data.get("alpha_max"), 2),
-        case=getattr(args, "case", None),
+        case=case,
         n0_max=pick(getattr(args, "n0_max", None), data.get("n0_max"), 3),
         n1_max=pick(getattr(args, "n1_max", None), data.get("n1_max"), 3),
         out=getattr(args, "out", None),
@@ -383,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="highest graded order to verify (default 2)")
         if case:
             p.add_argument("--case", choices=sorted(NAMED_CASES),
-                           help="named truncation (overrides --split/--n0/--n1)")
+                           help="named truncation; excludes --split/--v0-gens/--n0/--n1")
         if fmt:
             p.add_argument("--format", choices=["json", "latex"])
 

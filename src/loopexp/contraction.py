@@ -87,20 +87,21 @@ def compare_with_expansion(contracted: ContractedAlgebra, expanded: ExpandedAlge
                            window: ModeWindow) -> tuple[bool, list[ContractionDiff]]:
     """Coefficient-for-coefficient comparison under the evident label dictionary.
 
-    Even-mode loop labels map to order-0 expanded labels, odd-mode to order 1.
+    Each loop label maps to its sector's lowest existing order: even modes to 0, odd to 1.
     ``expanded`` must be the order-(0,1) truncation on the parity coset.
     """
     if (expanded.split.kind is not SplitKind.MODE_PARITY_COSET
             or (expanded.n0, expanded.n1) != (0, 1)):
         raise ValueError("comparison target must be the order-(0,1) parity expansion")
 
-    def lift(label: LoopLabel) -> ExpandedLabel:
-        parity = label.mode % 2
-        return ExpandedLabel(label.gen, label.mode, parity, parity)
-
     f = expanded.base
     split = expanded.split
+    lowest = split.order_rule.lowest
     labels = enumerate_generators(contracted.base, window)
+    lift = {}
+    for label in labels:
+        sector = split.sector(label)
+        lift[label] = ExpandedLabel(label.gen, label.mode, lowest[sector], sector)
     diffs: list[ContractionDiff] = []
     for x in labels:
         for y in labels:
@@ -111,7 +112,7 @@ def compare_with_expansion(contracted: ContractedAlgebra, expanded: ExpandedAlge
                 if z.mode != mode:
                     continue
                 cv = contracted.constant(x, y, z)
-                ev = expanded_constant(f, split, lift(x), lift(y), lift(z))
+                ev = expanded_constant(f, split, lift[x], lift[y], lift[z])
                 if cv != ev:
                     diffs.append(ContractionDiff(x, y, z, cv, ev))
     return not diffs, diffs

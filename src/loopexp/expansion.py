@@ -49,36 +49,20 @@ def expanded_key(label: ExpandedLabel) -> tuple[int, int, int]:
     return (label.order, label.mode, label.gen)
 
 
-def structurally_exists(s: Splitting, mode: int, order: int) -> bool:
-    """Whether the coefficient one-form at (mode; order) is a genuine object.
-
-    Zero-mode splitting: order-0 forms exist only at mode 0.  Parity coset:
-    the form exists only when the mode parity equals the order parity (the
-    wrong-parity coefficients vanish identically).
-    """
-    if order < 0:
-        return False
-    if s.kind is SplitKind.ZERO_MODE_SUBALGEBRA:
-        return order > 0 or mode == 0
-    if s.kind is SplitKind.MODE_PARITY_COSET:
-        return (mode - order) % 2 == 0
-    return True
-
-
 def make_label(s: Splitting, gen: int, mode: int, order: int) -> ExpandedLabel | None:
     """The admissible label at (gen, mode; order), or None if it does not exist."""
-    if not structurally_exists(s, mode, order):
+    label = LoopLabel(gen, mode)
+    if not s.exists(label, order):
         return None
-    return ExpandedLabel(gen, mode, order, s.sector(LoopLabel(gen, mode)))
+    return ExpandedLabel(gen, mode, order, s.sector(label))
 
 
 def _require_admissible(f: StructureConstants, s: Splitting, label: ExpandedLabel) -> None:
     f._check_index(label.gen)
-    if label.order < 0:
-        raise InadmissibleLabel(f"negative order in {label}")
-    if label.sector != s.sector(LoopLabel(label.gen, label.mode)):
+    loop_label = LoopLabel(label.gen, label.mode)
+    if label.sector != s.sector(loop_label):
         raise InadmissibleLabel(f"sector tag of {label} does not match the splitting")
-    if not structurally_exists(s, label.mode, label.order):
+    if not s.exists(loop_label, label.order):
         raise InadmissibleLabel(f"{label} does not exist under {s.kind.value}")
 
 
@@ -92,15 +76,11 @@ def expanded_constant(f: StructureConstants, s: Splitting, x: ExpandedLabel,
     return f.entry(x.gen, y.gen, z.gen)
 
 
-def order_cap(n0: int, n1: int, sector: int) -> int:
-    return n0 if sector == 0 else n1
-
-
 def is_retained(s: Splitting, n0: int, n1: int, label: ExpandedLabel) -> bool:
     """Structural existence plus the truncation-order bound (window-free)."""
-    if not structurally_exists(s, label.mode, label.order):
-        return False
-    return label.order <= order_cap(n0, n1, s.sector(LoopLabel(label.gen, label.mode)))
+    loop_label = LoopLabel(label.gen, label.mode)
+    return (s.exists(loop_label, label.order)
+            and label.order <= (n0, n1)[s.sector(loop_label)])
 
 
 def generator_set(f: StructureConstants, s: Splitting, n0: int, n1: int,
@@ -111,11 +91,11 @@ def generator_set(f: StructureConstants, s: Splitting, n0: int, n1: int,
     labels = []
     for n in window.modes():
         for a in range(1, f.dim + 1):
-            cap = order_cap(n0, n1, s.sector(LoopLabel(a, n)))
-            for alpha in range(cap + 1):
-                label = make_label(s, a, n, alpha)
-                if label is not None:
-                    labels.append(label)
+            loop_label = LoopLabel(a, n)
+            sector = s.sector(loop_label)
+            labels.extend(ExpandedLabel(a, n, alpha, sector)
+                          for alpha in range((n0, n1)[sector] + 1)
+                          if s.exists(loop_label, alpha))
     labels.sort(key=expanded_key)
     return labels
 
@@ -161,8 +141,9 @@ def check_closure(f: StructureConstants, s: Splitting, n0: int, n1: int,
                     y = make_label(s, b, m, gamma)
                     if x is None or y is None:
                         continue
+                    # Both labels exist, so retention is the order cap alone.
                     for source in (x, y):
-                        if not is_retained(s, n0, n1, source):
+                        if source.order > (n0, n1)[source.sector]:
                             report.violations.append(
                                 ClosureViolation((x, y), z, source, v))
     report.closed = not report.violations
@@ -228,7 +209,7 @@ class ExpandedAlgebra:
         out = {}
         for c, v in self.base.pair_targets(x.gen, y.gen):
             z = make_label(self.split, c, x.mode + y.mode, x.order + y.order)
-            if z is not None and self.contains(z):
+            if z is not None and z.order <= (self.n0, self.n1)[z.sector]:
                 out[z] = v
         return out
 

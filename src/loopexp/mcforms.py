@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 from typing import Iterable, Mapping, NamedTuple
 
 from .algebra import StructureConstants, format_rational
 from .loop import LoopLabel, ModeWindow, enumerate_generators, label_key
-from .splitting import SplitKind, Splitting
+from .splitting import Splitting
 
 
 class InvalidDegree(ValueError):
@@ -132,11 +132,6 @@ class FormPolynomial:
             _add(acc, key, value)
         return FormPolynomial(acc)
 
-    def scaled(self, factor: Fraction) -> "FormPolynomial":
-        if not factor:
-            return FormPolynomial.zero()
-        return FormPolynomial({k: factor * v for k, v in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FormPolynomial) and dict(self.terms) == dict(other.terms)
 
@@ -188,19 +183,11 @@ def exterior_derivative(p: FormPolynomial) -> TwoForm:
 
 
 def wedge(p: FormPolynomial, q: FormPolynomial) -> TwoForm:
-    acc: dict[PairKey, Fraction] = {}
-    for (mon1, d1), c1 in p.terms.items():
-        for (mon2, d2), c2 in q.terms.items():
-            pair, sign = _wedge_pair(d1, d2)
-            if pair is None:
-                continue
-            mon = CoordMonomial(tuple(sorted(mon1.labels + mon2.labels, key=label_key)))
-            _add(acc, (mon, pair), c1 * c2 * sign)
-    return TwoForm(acc)
+    return TwoForm(_wedge_truncated(p, q, inf)[0])
 
 
 def _wedge_truncated(p: FormPolynomial, q: FormPolynomial,
-                     max_degree: int) -> tuple[dict[PairKey, Fraction], int]:
+                     max_degree: float) -> tuple[dict[PairKey, Fraction], int]:
     """Wedge product keeping only monomial degrees <= max_degree.
 
     Returns the kept terms and the number of dropped one-form term pairs.
@@ -448,12 +435,12 @@ class GradingReport:
 
 
 def check_grading(graded: GradedSeriesResult, s: Splitting) -> GradingReport:
-    """Kind-specific grading facts about the buckets.
+    """Grading facts about the buckets, read from the splitting's order rule.
 
-    Parity coset: every nonempty bucket power matches the mode parity.
-    Zero-mode: nonzero-mode components have no power-0 bucket, and the mode-0
-    power-0 bucket is the all-zero-mode part starting with the bare
-    differential.
+    Every nonempty bucket power must be an existing order of its label.  A
+    sector-0 label's power-0 bucket must hold only sector-0 factors and start
+    with the bare differential; a sector-1 label's bare differential carries
+    power 1, so the rule does not apply to it.
     """
     report = GradingReport(ok=True)
     for label, series in graded.by_label.items():
@@ -461,19 +448,15 @@ def check_grading(graded: GradedSeriesResult, s: Splitting) -> GradingReport:
             poly = series.bucket(power)
             if poly.is_zero:
                 continue
-            if s.kind is SplitKind.MODE_PARITY_COSET:
-                if power % 2 != label.mode % 2:
-                    report.violations.append((label, power, "power parity differs from mode parity"))
-            elif s.kind is SplitKind.ZERO_MODE_SUBALGEBRA:
-                if label.mode != 0 and power == 0:
-                    report.violations.append((label, power, "nonzero mode has a power-0 bucket"))
-                if label.mode == 0 and power == 0:
-                    if poly.coefficient(CoordMonomial.unit(), LoopLabel(label.gen, 0)) != 1:
-                        report.violations.append((label, power, "missing unit differential term"))
-                    for (mon, diff) in poly.terms:
-                        if diff.mode != 0 or any(l.mode != 0 for l in mon.labels):
-                            report.violations.append((label, power, "power-0 term with nonzero mode"))
-                            break
+            if not s.exists(label, power):
+                report.violations.append((label, power, "power is not an existing order"))
+            if power == 0 and s.sector(label) == 0:
+                if poly.coefficient(CoordMonomial.unit(), label) != 1:
+                    report.violations.append((label, power, "missing unit differential term"))
+                for (mon, diff) in poly.terms:
+                    if s.sector(diff) or mon.sector_count(s):
+                        report.violations.append((label, power, "power-0 term with a sector-1 factor"))
+                        break
     report.ok = not report.violations
     return report
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .algebra import StructureConstants
@@ -25,13 +26,29 @@ class InvalidParams(ValueError):
     """Splitting parameters inconsistent with the requested kind."""
 
 
+class OrderRule(NamedTuple):
+    """The orders at which a sector's coefficient one-forms exist:
+    ``lowest[sector]``, then every ``step`` above it."""
+
+    lowest: tuple[int, int]
+    step: int
+
+
+# When V0 is a subalgebra, sector-1 forms start at order 1; on a symmetric
+# coset only the orders whose parity matches the sector exist.
+ORDER_RULES: dict[SplitKind, OrderRule] = {
+    SplitKind.GENERIC_INDEX: OrderRule((0, 0), 1),
+    SplitKind.ZERO_MODE_SUBALGEBRA: OrderRule((0, 1), 1),
+    SplitKind.MODE_PARITY_COSET: OrderRule((0, 1), 2),
+}
+
+
 @dataclass(frozen=True)
 class Splitting:
     """A declared V0 + V1 decomposition with a total sector function on labels."""
 
     kind: SplitKind
     v0_gens: frozenset[int] | None = None
-    dim: int | None = None
 
     def sector(self, label: LoopLabel) -> int:
         if self.kind is SplitKind.GENERIC_INDEX:
@@ -39,6 +56,18 @@ class Splitting:
         if self.kind is SplitKind.ZERO_MODE_SUBALGEBRA:
             return 0 if label.mode == 0 else 1
         return label.mode % 2
+
+    @cached_property
+    def order_rule(self) -> OrderRule:
+        """This kind's row of :data:`ORDER_RULES`."""
+        return ORDER_RULES[self.kind]
+
+    def exists(self, label: LoopLabel, order: int) -> bool:
+        """Whether the coefficient one-form of ``label`` at ``order`` is a genuine
+        object rather than one that vanishes identically."""
+        lowest, step = self.order_rule
+        first = lowest[self.sector(label)]
+        return order >= first and (order - first) % step == 0
 
 
 def make_splitting(kind: SplitKind, *, v0_gens=None, dim: int | None = None) -> Splitting:
@@ -53,7 +82,7 @@ def make_splitting(kind: SplitKind, *, v0_gens=None, dim: int | None = None) -> 
             raise InvalidParams(f"v0_gens {sorted(gens)} not within 1..{dim}")
         if len(gens) >= dim:
             raise InvalidParams("v0_gens must be a proper subset of the generators")
-        return Splitting(kind, gens, dim)
+        return Splitting(kind, gens)
     if v0_gens:
         raise InvalidParams(f"v0_gens only applies to the generic kind, not {kind.value}")
     return Splitting(kind)
@@ -130,5 +159,4 @@ def split_from_dict(data: dict, dim: int) -> Splitting:
     except (KeyError, ValueError) as exc:
         raise InvalidParams(f"bad splitting spec {data!r}") from exc
     v0 = data.get("v0_gens")
-    return make_splitting(kind, v0_gens=frozenset(v0) if v0 else None,
-                          dim=dim if kind is SplitKind.GENERIC_INDEX else None)
+    return make_splitting(kind, v0_gens=frozenset(v0) if v0 else None, dim=dim)

@@ -2,11 +2,15 @@
 
 Everything here is deliberately coded against dense tables and plain tuples,
 not the package's sparse machinery, so a structural mistake cannot hide on
-both sides of a comparison.
+both sides of a comparison.  The two splitting oracles at the end are the
+per-kind branches that the order table of ``loopexp.splitting`` replaced.
 """
 
 from fractions import Fraction
 from math import factorial
+
+from loopexp import LoopLabel, SplitKind
+from loopexp.mcforms import CoordMonomial
 
 
 def dense_tensor(dim: int, raw_entries: dict) -> list:
@@ -78,3 +82,49 @@ def finite_bch_series(dim: int, raw_entries: dict, degree: int) -> dict:
                 bucket[key] = bucket.get(key, Fraction(0)) + value * prefactor
         current = nxt
     return {a: {k2: v for k2, v in terms.items() if v} for a, terms in out.items()}
+
+
+def structurally_exists(s, mode: int, order: int) -> bool:
+    """Whether the coefficient one-form at (mode; order) is a genuine object.
+
+    Zero-mode splitting: order-0 forms exist only at mode 0.  Parity coset:
+    the form exists only when the mode parity equals the order parity (the
+    wrong-parity coefficients vanish identically).
+    """
+    if order < 0:
+        return False
+    if s.kind is SplitKind.ZERO_MODE_SUBALGEBRA:
+        return order > 0 or mode == 0
+    if s.kind is SplitKind.MODE_PARITY_COSET:
+        return (mode - order) % 2 == 0
+    return True
+
+
+def kind_branch_grading(graded, s) -> list:
+    """Kind-specific grading facts about the buckets, as (label, power, reason).
+
+    Parity coset: every nonempty bucket power matches the mode parity.
+    Zero-mode: nonzero-mode components have no power-0 bucket, and the mode-0
+    power-0 bucket is the all-zero-mode part starting with the bare
+    differential.  The generic split has no check.
+    """
+    violations = []
+    for label, series in graded.by_label.items():
+        for power in series.powers():
+            poly = series.bucket(power)
+            if poly.is_zero:
+                continue
+            if s.kind is SplitKind.MODE_PARITY_COSET:
+                if power % 2 != label.mode % 2:
+                    violations.append((label, power, "power parity differs from mode parity"))
+            elif s.kind is SplitKind.ZERO_MODE_SUBALGEBRA:
+                if label.mode != 0 and power == 0:
+                    violations.append((label, power, "nonzero mode has a power-0 bucket"))
+                if label.mode == 0 and power == 0:
+                    if poly.coefficient(CoordMonomial.unit(), LoopLabel(label.gen, 0)) != 1:
+                        violations.append((label, power, "missing unit differential term"))
+                    for (mon, diff) in poly.terms:
+                        if diff.mode != 0 or any(l.mode != 0 for l in mon.labels):
+                            violations.append((label, power, "power-0 term with nonzero mode"))
+                            break
+    return violations

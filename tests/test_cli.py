@@ -220,3 +220,19 @@ def test_malformed_config_is_usage_error(argv, config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--split", "generic", "--v0-gens", "1", "--n0", "5"],
+    ["--split", "mode_parity"],
+    ["--v0-gens", "1"],
+    ["--n0", "2"],
+    ["--n1", "1"],
+], ids=["all", "split", "v0-gens", "n0", "n1"])
+def test_case_with_split_or_order_flags_is_usage_error(extra, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run("expand", *EPS_ARGS, "--case", "G21", *extra, "-M", "1",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --case") and "Traceback" not in err
+    assert not out.exists()

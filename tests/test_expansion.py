@@ -52,6 +52,9 @@ def test_constant_rejects_structurally_missing_labels():
     with pytest.raises(InadmissibleLabel):
         expanded_constant(EPS, COSET, ExpandedLabel(1, 2, 1, 0),
                           lab(COSET, 2, 0, 0), lab(COSET, 3, 2, 1))
+    with pytest.raises(InadmissibleLabel):
+        expanded_constant(EPS, generic({1}), lab(generic({1}), 1, 0, -1),
+                          lab(generic({1}), 2, 0, 1), lab(generic({1}), 3, 0, 0))
 
 
 def test_constant_rejects_wrong_sector_tag():

@@ -3,21 +3,25 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from loopexp import (DegreeTooLow, FormPolynomial, InvalidDegree, LoopLabel,
                      ModeWindow, SplitKind, builtin_algebra,
                      canonical_form_series, check_grading, exterior_derivative,
                      graded_series_json, make_splitting, rescale_and_collect,
                      resummed, verify_mc_equations, wedge)
+from loopexp.loop import label_key
 from loopexp.mcforms import (CoordMonomial, GradedFormSeries, GradedSeriesResult,
                              TwoForm, residual_term_safe, term_mode_safe)
 
-from helpers_oracles import dense_tensor, finite_bch_series
+from helpers_oracles import dense_tensor, finite_bch_series, kind_branch_grading
 
 EPS = builtin_algebra("epsilon3")
 ABELIAN = builtin_algebra("abelian4")
 COSET = make_splitting(SplitKind.MODE_PARITY_COSET)
 ZERO_MODE = make_splitting(SplitKind.ZERO_MODE_SUBALGEBRA)
+GENERIC12 = make_splitting(SplitKind.GENERIC_INDEX, v0_gens={1, 2}, dim=3)
 
 
 def poly(*terms):
@@ -246,6 +250,9 @@ def test_grading_checker_accepts_engine_output():
     series = canonical_form_series(EPS, ModeWindow(1), 3)
     assert check_grading(rescale_and_collect(series, COSET), COSET).ok
     assert check_grading(rescale_and_collect(series, ZERO_MODE), ZERO_MODE).ok
+    # A sector-1 label's power-0 bucket lacks the bare differential, which
+    # carries power 1; the generic split must not flag it.
+    assert check_grading(rescale_and_collect(series, GENERIC12), GENERIC12).ok
 
 
 def test_grading_checker_flags_doctored_bucket():
@@ -257,6 +264,62 @@ def test_grading_checker_flags_doctored_bucket():
     doctored_z = GradedSeriesResult({LoopLabel(1, 1): bad_bucket}, 2, ModeWindow(1),
                                     ZERO_MODE, 0)
     assert not check_grading(doctored_z, ZERO_MODE).ok
+    # A power-0 term whose differential is sector 0 but whose coordinates are not.
+    mixed = GradedFormSeries({0: poly(((), LoopLabel(1, 0), 1),
+                                      ((LoopLabel(2, 1), LoopLabel(3, -1)), LoopLabel(1, 0), 1))})
+    doctored_m = GradedSeriesResult({LoopLabel(1, 0): mixed}, 3, ModeWindow(1), ZERO_MODE, 0)
+    assert check_grading(doctored_m, ZERO_MODE).violations == [
+        (LoopLabel(1, 0), 0, "power-0 term with a sector-1 factor")]
+
+
+EPS_SERIES = canonical_form_series(EPS, ModeWindow(1), 3)
+
+
+def _flagged(violations):
+    return [(label, power) for label, power, _ in violations]
+
+
+@given(st.sampled_from([COSET, ZERO_MODE, GENERIC12]), st.data())
+def test_grading_matches_kind_branch_oracle_on_doctored_buckets(split, data):
+    graded = rescale_and_collect(EPS_SERIES, split)
+    label = data.draw(st.sampled_from(sorted(graded.by_label, key=label_key)))
+    original = graded.by_label[label].by_power
+    buckets = dict(original)
+    source = data.draw(st.sampled_from(sorted(buckets)))
+    poly = buckets.pop(source)
+    target = data.draw(st.none() | st.integers(0, 4))
+    if data.draw(st.booleans()):
+        moved = poly
+    else:
+        key, value = data.draw(st.sampled_from(poly.sorted_terms()))
+        moved = FormPolynomial({key: value})
+        buckets[source] = FormPolynomial({k: v for k, v in poly.terms.items() if k != key})
+    if target is not None:
+        buckets[target] = buckets.get(target, FormPolynomial.zero()) + moved
+    if split is not ZERO_MODE and split.sector(label) == 0:
+        # Off the zero-mode split the kind branches never read a sector-0
+        # label's power-0 bucket; the order-table rule also checks it there.
+        assume(buckets.get(0) == original.get(0))
+    doctored = GradedSeriesResult(
+        {**graded.by_label, label: GradedFormSeries(dict(sorted(buckets.items())))},
+        graded.degree, graded.window, split, graded.censored)
+    assert (_flagged(check_grading(doctored, split).violations)
+            == _flagged(kind_branch_grading(doctored, split)))
+
+
+@pytest.mark.parametrize("split", [COSET, GENERIC12], ids=["coset", "generic"])
+def test_grading_flags_sector0_power0_bucket_without_unit_term(split):
+    label = LoopLabel(1, 0)
+    graded = rescale_and_collect(EPS_SERIES, split)
+    power0 = graded.by_label[label].bucket(0)
+    stripped = FormPolynomial({k: v for k, v in power0.terms.items()
+                               if k != (CoordMonomial.unit(), label)})
+    by_power = {**graded.by_label[label].by_power, 0: stripped}
+    doctored = GradedSeriesResult({**graded.by_label, label: GradedFormSeries(by_power)},
+                                  graded.degree, graded.window, split, graded.censored)
+    report = check_grading(doctored, split)
+    assert report.violations == [(label, 0, "missing unit differential term")]
+    assert kind_branch_grading(doctored, split) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Golden CLI outputs: SHA-256 of the exact report bytes, frozen before the
-Jacobi sweeps, sector scans and constant tables were merged into shared code.
+"""Golden CLI outputs: SHA-256 of the exact report bytes.
 
-A refactor of those paths must leave every byte of these reports unchanged.
+The first 14 were frozen before the Jacobi sweeps, sector scans and constant
+tables were merged into shared code; the zero-mode and generic rows were frozen
+before the splitting's order rules became a table.  A refactor of those paths
+must leave every byte of these reports unchanged.
 """
 
 import hashlib
@@ -84,6 +86,43 @@ GOLDEN = {
     "nonlie-expand-latex": (["expand", "-a", "{nonlie}", "--split", "mode_parity",
                              "--n0", "2", "--n1", "1", "-M", "2", "--format", "latex"], 1,
                             "b08209b11352d79aae7e74dad7865f8a153a410d90c289c557d4bdca8ca4aa8c"),
+    # mc, sweep and expand on the zero-mode split and on the generic split with
+    # V0 = {1, 2}: the generic mc report fails if the unit-differential rule of
+    # the grading check is applied to sector-1 labels, whose power-0 bucket lacks
+    # the bare differential.
+    "eps-zero-mc": (["mc", "-a", "epsilon3", "--split", "zero_mode", "-D", "3",
+                     "--alpha-max", "2", "-M", "1"], 0,
+                    "a02aa6a86c62ebc0e51795bcbf403fa138632f6833e8ca407f336804a3097697"),
+    "eps-zero-sweep": (["sweep", "-a", "epsilon3", "--split", "zero_mode",
+                        "--n0-max", "2", "--n1-max", "3", "-M", "1"], 0,
+                       "43682c22a3c4d89d0825005fc133b43f9e41f3c17598b645b9a3d5f9acbe2f2d"),
+    "eps-zero-expand": (["expand", "-a", "epsilon3", "--split", "zero_mode",
+                         "--n0", "1", "--n1", "1", "-M", "1"], 0,
+                        "660358e92db8218713fe34e5c355e17a983e1e65336e559881c96a5fa21bceb5"),
+    "eps-generic-mc": (["mc", "-a", "epsilon3", "--split", "generic", "--v0-gens", "1,2",
+                        "-D", "3", "--alpha-max", "2", "-M", "1"], 0,
+                       "28250bfa8dd4331572bd3fd8cc77aa3314ad3c536d2785b3d5ca91bb87efe45b"),
+    "eps-generic-sweep": (["sweep", "-a", "epsilon3", "--split", "generic", "--v0-gens", "1,2",
+                           "--n0-max", "2", "--n1-max", "3", "-M", "1"], 0,
+                          "9baff218eba3bce7e908982a1fda9b4b8c20b27363b5d6033b181a4571a7863b"),
+    "gl3-zero-mc": (["mc", "-a", "{gl3}", "--split", "zero_mode", "-D", "3",
+                     "--alpha-max", "2", "-M", "1"], 0,
+                    "e4730cd1f2874fe52650178b4a7e7e0c134e2074d47666b87e0567480fc5aae9"),
+    "gl3-zero-sweep": (["sweep", "-a", "{gl3}", "--split", "zero_mode",
+                        "--n0-max", "2", "--n1-max", "3", "-M", "1"], 0,
+                       "42f759875434d1e58a6846fd8ec8af890c866734a84b9a6515f4143052ef2419"),
+    "gl3-zero-expand": (["expand", "-a", "{gl3}", "--split", "zero_mode",
+                         "--n0", "1", "--n1", "1", "-M", "1"], 0,
+                        "fff8a5b41eed904934b5fd6030bf7b320d87791306e0fef5b3693feff645e565"),
+    "gl3-generic-mc": (["mc", "-a", "{gl3}", "--split", "generic", "--v0-gens", "1,2",
+                        "-D", "3", "--alpha-max", "2", "-M", "1"], 0,
+                       "689e82eee07e6fa8f696a4d9505cf75318878582a0f877b24c9a5cc6798b617e"),
+    "gl3-generic-sweep": (["sweep", "-a", "{gl3}", "--split", "generic", "--v0-gens", "1,2",
+                           "--n0-max", "2", "--n1-max", "3", "-M", "1"], 0,
+                          "9b1591705f1ac16fb1df05f874faa905e724af2c9b0f24330f7128f18cf91d13"),
+    "gl3-generic-expand": (["expand", "-a", "{gl3}", "--split", "generic", "--v0-gens", "1,2",
+                            "--n0", "1", "--n1", "1", "-M", "1"], 0,
+                           "72bd3863ed3748428acfac7483133739302c6eb7e3c78f7601c8e654e7a7f985"),
 }
 
 

@@ -9,6 +9,8 @@ from loopexp import (InvalidParams, LoopLabel, ModeWindow, SplitKind,
                      loop_structure_constant, make_splitting)
 from loopexp.splitting import split_from_dict, split_to_dict
 
+from helpers_oracles import structurally_exists
+
 EPS = builtin_algebra("epsilon3")
 ABELIAN = builtin_algebra("abelian4")
 
@@ -39,6 +41,14 @@ def test_sector_total_and_binary(gen, mode):
         value = s.sector(LoopLabel(gen, mode))
         assert value in (0, 1)
         assert value == s.sector(LoopLabel(gen, mode))
+
+
+@given(st.sampled_from(list(SplitKind)), st.integers(1, 3), st.integers(-50, 50),
+       st.integers(-2, 8))
+def test_exists_matches_kind_branch_oracle(kind, gen, mode, order):
+    s = (make_splitting(kind, v0_gens={1, 2}, dim=3) if kind is SplitKind.GENERIC_INDEX
+         else make_splitting(kind))
+    assert s.exists(LoopLabel(gen, mode), order) == structurally_exists(s, mode, order)
 
 
 def test_make_splitting_rejects_bad_params():
