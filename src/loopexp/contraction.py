@@ -108,9 +108,8 @@ def compare_with_expansion(contracted: ContractedAlgebra, expanded: ExpandedAlge
             mode = x.mode + y.mode
             if not window.contains(mode):
                 continue
-            for z in labels:
-                if z.mode != mode:
-                    continue
+            for c in range(1, contracted.base.dim + 1):
+                z = LoopLabel(c, mode)
                 cv = contracted.constant(x, y, z)
                 ev = expanded_constant(f, split, lift[x], lift[y], lift[z])
                 if cv != ev:

@@ -17,14 +17,23 @@ Mode-window censoring: a term is trustworthy only if every partial mode sum of
 its factors stays inside the window (the recursion would otherwise have dropped
 some of its build paths, and the pair sum would miss out-of-window sources).
 Such terms are excluded from verification and counted, never reported as
-residuals.
+residuals.  The counters of :func:`verify_mc_equations` are:
+
+- ``terms_checked``: formed residual terms of degree <= D-2 and power <=
+  alpha_max that pass :func:`residual_term_safe`, exact zeros included.  A
+  term is formed when a derivative or wedge contribution lands on it, even if
+  the contributions cancel;
+- ``mode_censored``: formed residual terms that fail :func:`residual_term_safe`;
+- ``degree_censored``: pairs of kept series terms that the wedge skips because
+  their degrees sum above D-2, once per target, folded generator pair and mode
+  split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, inf
+from math import factorial, lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from .algebra import StructureConstants, format_rational
@@ -74,13 +83,6 @@ class CoordMonomial:
             else:
                 out.append((label, 1))
         return out
-
-    def subset_mode_sums(self) -> set[int]:
-        """Mode sums of every sub-multiset of the factors (prefix-sum domain)."""
-        sums = {0}
-        for label, mult in self.counts():
-            sums = {s + j * label.mode for s in sums for j in range(mult + 1)}
-        return sums
 
     def sector_count(self, s: Splitting) -> int:
         return sum(1 for label in self.labels if s.sector(label) == 1)
@@ -183,39 +185,13 @@ def exterior_derivative(p: FormPolynomial) -> TwoForm:
 
 
 def wedge(p: FormPolynomial, q: FormPolynomial) -> TwoForm:
-    return TwoForm(_wedge_truncated(p, q, inf)[0])
-
-
-def _wedge_truncated(p: FormPolynomial, q: FormPolynomial,
-                     max_degree: float) -> tuple[dict[PairKey, Fraction], int]:
-    """Wedge product keeping only monomial degrees <= max_degree.
-
-    Returns the kept terms and the number of dropped one-form term pairs.
-    """
-    def by_degree(poly: FormPolynomial) -> dict[int, list[tuple[TermKey, Fraction]]]:
-        groups: dict[int, list[tuple[TermKey, Fraction]]] = {}
-        for key, value in poly.terms.items():
-            groups.setdefault(key[0].degree, []).append((key, value))
-        return groups
-
-    groups_p = by_degree(p)
-    groups_q = by_degree(q)
     acc: dict[PairKey, Fraction] = {}
-    dropped = 0
-    for i, terms_p in groups_p.items():
-        for j, terms_q in groups_q.items():
-            if i + j > max_degree:
-                dropped += len(terms_p) * len(terms_q)
-                continue
-            for (mon1, d1), c1 in terms_p:
-                for (mon2, d2), c2 in terms_q:
-                    pair, sign = _wedge_pair(d1, d2)
-                    if pair is None:
-                        continue
-                    mon = CoordMonomial(tuple(sorted(mon1.labels + mon2.labels,
-                                                     key=label_key)))
-                    _add(acc, (mon, pair), c1 * c2 * sign)
-    return acc, dropped
+    for (mon1, d1), c1 in p.terms.items():
+        for (mon2, d2), c2 in q.terms.items():
+            pair, sign = _wedge_pair(d1, d2)
+            if pair is not None:
+                _add(acc, (CoordMonomial.of(mon1.labels + mon2.labels), pair), c1 * c2 * sign)
+    return TwoForm(acc)
 
 
 @dataclass(frozen=True)
@@ -321,10 +297,24 @@ def resummed(graded: GradedSeriesResult, label: LoopLabel) -> FormPolynomial:
     return total
 
 
+def _shifts_in_window(modes: Iterable[int], shifts: Iterable[int], bound: int) -> bool:
+    """Whether every shift plus every sub-multiset sum of ``modes`` lies within
+    ``bound``.  The extreme sums are those of the negative and of the positive
+    modes, and every other sum lies between them."""
+    low = high = 0
+    for mode in modes:
+        if mode < 0:
+            low += mode
+        else:
+            high += mode
+    return all(-bound <= t + low and t + high <= bound for t in shifts)
+
+
 def term_mode_safe(mon: CoordMonomial, diff: LoopLabel, window: ModeWindow) -> bool:
-    """Whether a one-form term's coefficient is untouched by window censoring."""
-    bound = window.max_abs_mode
-    return all(abs(diff.mode + s) <= bound for s in mon.subset_mode_sums())
+    """Whether a one-form term's coefficient is untouched by window censoring:
+    the differential's mode plus every sub-multiset sum of the factors' modes
+    is windowed."""
+    return _shifts_in_window([x.mode for x in mon.labels], (diff.mode,), window.max_abs_mode)
 
 
 def residual_term_safe(mon: CoordMonomial, diffs: tuple[LoopLabel, LoopLabel],
@@ -335,14 +325,9 @@ def residual_term_safe(mon: CoordMonomial, diffs: tuple[LoopLabel, LoopLabel],
     differentials must have a windowed mode sum: those sums are exactly the
     intermediate modes of the build paths and the split modes of the pair sum.
     """
-    bound = window.max_abs_mode
     d1, d2 = diffs
-    for s in mon.subset_mode_sums():
-        if abs(d1.mode + s) > bound or abs(d2.mode + s) > bound:
-            return False
-        if abs(d1.mode + d2.mode + s) > bound:
-            return False
-    return True
+    return _shifts_in_window([x.mode for x in mon.labels],
+                             (d1.mode, d2.mode, d1.mode + d2.mode), window.max_abs_mode)
 
 
 class McResidualTerm(NamedTuple):
@@ -363,67 +348,105 @@ class McResidualReport:
     targets_checked: int = 0
 
 
+def _folded_pairs(f: StructureConstants, c: int) -> list[tuple[int, int, Fraction]]:
+    """(a, b, (f_ab^c - f_ba^c)/2) for a < b, zero scales dropped.
+
+    Since w^b w^a = -w^a w^b, the ordered pairs (a, b) and (b, a) of the wedge
+    sum fold into one for any tensor, antisymmetric or not, and a diagonal
+    pair contributes nothing.
+    """
+    values = {(a, b): v for a, b, v in f.pairs_into(c)}
+    pairs = sorted({(min(key), max(key)) for key in values if key[0] != key[1]})
+    scaled = [(a, b, (values.get((a, b), 0) - values.get((b, a), 0)) / 2) for a, b in pairs]
+    return [row for row in scaled if row[2]]
+
+
 def verify_mc_equations(graded: GradedSeriesResult, f: StructureConstants, s: Splitting,
                         alpha_max: int, window: ModeWindow) -> McResidualReport:
     """Check d w^{c,l;alpha} = -(1/2) f sum_beta w^{a,n;beta} w^{b,m;alpha-beta}.
 
-    Residual terms are classified before assertion: terms of coordinate degree
-    above D-2 are incomplete on the derivative side, and terms failing the
-    mode-safety test are incomplete on either side; both kinds are censored
-    and counted.  Every safe term must vanish exactly.
+    Rescaling power adds under the wedge and is kept by d, so the equations of
+    all orders are the power split of one residual dw + (1/2) f w w per target,
+    formed here in one pass.  Series terms that cannot feed a checked residual
+    term are dropped first: powers above ``alpha_max``, degrees above D-1, and
+    terms failing :func:`term_mode_safe`, whose unsafe sub-multiset sum
+    survives in every product and derivative.  Coefficients are integers over
+    one denominator Q L^2: L clears the kept series coefficients, Q the folded
+    constants.
+
+    Residual terms of degree above D-2 are incomplete on the derivative side
+    and are never formed.  Formed terms failing :func:`residual_term_safe` are
+    censored; every other one must vanish exactly.
     """
     degree = graded.degree
     if degree < alpha_max + 1:
         raise DegreeTooLow(f"degree {degree} cannot support order {alpha_max}; "
                            f"need degree >= {alpha_max + 1}")
     bound = window.max_abs_mode
-    half = Fraction(1, 2)
+    kept_terms = [(label, power, mon, diff, coef)
+                  for label, series in graded.by_label.items()
+                  for power, poly in series.by_power.items() if power <= alpha_max
+                  for (mon, diff), coef in poly.terms.items()
+                  if mon.degree < degree and term_mode_safe(mon, diff, window)]
+    series_den = lcm(*(coef.denominator for *_, coef in kept_terms))
+    # Per label, integer terms grouped by (degree, power).  Labels become
+    # (mode, gen) tuples, whose natural order is label_key order.
+    kept: dict[LoopLabel, dict[tuple[int, int], list]] = {label: {} for label in graded.by_label}
+    for label, power, mon, diff, coef in kept_terms:
+        kept[label].setdefault((mon.degree, power), []).append(
+            (tuple((x.mode, x.gen) for x in mon.labels), (diff.mode, diff.gen),
+             coef.numerator * (series_den // coef.denominator)))
+    folded = {c: _folded_pairs(f, c) for c in range(1, f.dim + 1)}
+    const_den = lcm(*(v.denominator for pairs in folded.values() for *_, v in pairs))
+
     report = McResidualReport(ok=True)
-    wedge_cache: dict[tuple, tuple[dict[PairKey, Fraction], int]] = {}
-
-    def bucket(gen: int, mode: int, power: int) -> FormPolynomial:
-        return graded.by_label[LoopLabel(gen, mode)].bucket(power)
-
-    max_residual_degree = degree - 2
     for target in enumerate_generators(f, window):
-        for alpha in range(alpha_max + 1):
-            report.targets_checked += 1
-            # Accumulate keeping exact zeros, so cancellations still count as
-            # checked terms.  The derivative side never exceeds degree D-2;
-            # wedge contributions above it are incomplete and dropped here.
-            acc: dict[PairKey, Fraction] = {}
-            lhs = exterior_derivative(bucket(target.gen, target.mode, alpha))
-            for key, value in lhs.terms.items():
-                acc[key] = acc.get(key, Fraction(0)) + value
-            for a, b, v in f.pairs_into(target.gen):
-                scale = half * v
-                for n in window.modes():
-                    m = target.mode - n
-                    if abs(m) > bound:
-                        continue
-                    for beta in range(alpha + 1):
-                        cache_key = (a, n, beta, b, m, alpha - beta)
-                        cached = wedge_cache.get(cache_key)
-                        if cached is None:
-                            cached = _wedge_truncated(bucket(a, n, beta),
-                                                      bucket(b, m, alpha - beta),
-                                                      max_residual_degree)
-                            wedge_cache[cache_key] = cached
-                        terms, dropped = cached
-                        report.degree_censored += dropped
-                        for key, value in terms.items():
-                            acc[key] = acc.get(key, Fraction(0)) + value * scale
-            for (mon, pair), value in sorted(
-                    acc.items(), key=lambda kv: (_monomial_key(kv[0][0]),
-                                                 label_key(kv[0][1][0]),
-                                                 label_key(kv[0][1][1]))):
-                if not residual_term_safe(mon, pair, window):
-                    report.mode_censored += 1
+        # Per power, residual coefficients keyed by (monomial, d1, d2), d1 < d2.
+        accs: list[dict[tuple, int]] = [{} for _ in range(alpha_max + 1)]
+        for (_, power), terms in kept[target].items():
+            acc = accs[power]
+            for mon, diff, coef in terms:
+                for x in set(mon) - {diff}:
+                    i = mon.index(x)
+                    value = coef * const_den * series_den * mon.count(x)
+                    key = (mon[:i] + mon[i + 1:], *sorted((x, diff)))
+                    acc[key] = acc.get(key, 0) + (value if x < diff else -value)
+        for a, b, v in folded[target.gen]:
+            scale = v.numerator * (const_den // v.denominator)
+            for n in window.modes():
+                if abs(target.mode - n) > bound:
                     continue
-                report.terms_checked += 1
-                if value:
-                    report.violations.append(
-                        McResidualTerm(target, alpha, mon, pair, value))
+                groups_b = kept[LoopLabel(b, target.mode - n)].items()
+                for (deg1, p1), terms1 in kept[LoopLabel(a, n)].items():
+                    for (deg2, p2), terms2 in groups_b:
+                        if p1 + p2 > alpha_max:
+                            continue
+                        if deg1 + deg2 > degree - 2:
+                            report.degree_censored += len(terms1) * len(terms2)
+                            continue
+                        acc = accs[p1 + p2]
+                        for mon1, d1, c1 in terms1:
+                            c1 *= scale
+                            for mon2, d2, c2 in terms2:
+                                if d1 < d2:
+                                    key, value = (tuple(sorted(mon1 + mon2)), d1, d2), c1 * c2
+                                elif d2 < d1:
+                                    key, value = (tuple(sorted(mon1 + mon2)), d2, d1), -c1 * c2
+                                else:
+                                    continue
+                                acc[key] = acc.get(key, 0) + value
+        for power, acc in enumerate(accs):
+            report.targets_checked += 1
+            safe = [(key, value) for key, value in acc.items()
+                    if _shifts_in_window([mode for mode, _ in key[0]],
+                                         (key[1][0], key[2][0], key[1][0] + key[2][0]), bound)]
+            report.terms_checked += len(safe)
+            report.mode_censored += len(acc) - len(safe)
+            for (mon, d1, d2), value in sorted(row for row in safe if row[1]):
+                report.violations.append(McResidualTerm(
+                    target, power, CoordMonomial(tuple(LoopLabel(g, n) for n, g in mon)),
+                    (LoopLabel(d1[1], d1[0]), LoopLabel(d2[1], d2[0])),
+                    Fraction(value, const_den * series_den ** 2)))
     report.ok = not report.violations
     return report
 

@@ -2,15 +2,19 @@
 
 Everything here is deliberately coded against dense tables and plain tuples,
 not the package's sparse machinery, so a structural mistake cannot hide on
-both sides of a comparison.  The two splitting oracles at the end are the
-per-kind branches that the order table of ``loopexp.splitting`` replaced.
+both sides of a comparison.  The two splitting oracles after them are the
+per-kind branches that the order table of ``loopexp.splitting`` replaced, and
+the MC residual oracle at the end is the per-order, per-``beta`` residual check
+that the single pruned integer pass of ``loopexp.mcforms`` replaced.
 """
 
 from fractions import Fraction
 from math import factorial
 
 from loopexp import LoopLabel, SplitKind
-from loopexp.mcforms import CoordMonomial
+from loopexp.loop import enumerate_generators, label_key
+from loopexp.mcforms import (CoordMonomial, DegreeTooLow, McResidualReport,
+                             McResidualTerm, exterior_derivative)
 
 
 def dense_tensor(dim: int, raw_entries: dict) -> list:
@@ -128,3 +132,124 @@ def kind_branch_grading(graded, s) -> list:
                             violations.append((label, power, "power-0 term with nonzero mode"))
                             break
     return violations
+
+
+def subset_mode_sums(mon) -> set:
+    """Mode sums of every sub-multiset of a monomial's factors."""
+    sums = {0}
+    for label, mult in mon.counts():
+        sums = {s + j * label.mode for s in sums for j in range(mult + 1)}
+    return sums
+
+
+def subset_term_mode_safe(mon, diff, window) -> bool:
+    """``term_mode_safe`` by enumerating every sub-multiset sum."""
+    bound = window.max_abs_mode
+    return all(abs(diff.mode + s) <= bound for s in subset_mode_sums(mon))
+
+
+def subset_residual_term_safe(mon, diffs, window) -> bool:
+    """``residual_term_safe`` by enumerating every sub-multiset sum."""
+    bound = window.max_abs_mode
+    d1, d2 = diffs
+    return all(abs(d1.mode + s) <= bound and abs(d2.mode + s) <= bound
+               and abs(d1.mode + d2.mode + s) <= bound for s in subset_mode_sums(mon))
+
+
+def _wedge_pair(d1, d2):
+    k1, k2 = label_key(d1), label_key(d2)
+    if k1 == k2:
+        return None, 0
+    if k1 < k2:
+        return (d1, d2), 1
+    return (d2, d1), -1
+
+
+def _wedge_truncated(p, q, max_degree):
+    """Wedge product keeping only monomial degrees <= max_degree.
+
+    Returns the kept nonzero terms and the number of dropped term pairs.
+    """
+    def by_degree(poly):
+        groups = {}
+        for key, value in poly.terms.items():
+            groups.setdefault(key[0].degree, []).append((key, value))
+        return groups
+
+    acc = {}
+    dropped = 0
+    for i, terms_p in by_degree(p).items():
+        for j, terms_q in by_degree(q).items():
+            if i + j > max_degree:
+                dropped += len(terms_p) * len(terms_q)
+                continue
+            for (mon1, d1), c1 in terms_p:
+                for (mon2, d2), c2 in terms_q:
+                    pair, sign = _wedge_pair(d1, d2)
+                    if pair is None:
+                        continue
+                    key = (CoordMonomial.of(mon1.labels + mon2.labels), pair)
+                    total = acc.get(key, Fraction(0)) + c1 * c2 * sign
+                    if total:
+                        acc[key] = total
+                    else:
+                        acc.pop(key, None)
+    return acc, dropped
+
+
+def legacy_verify_mc_equations(graded, f, s, alpha_max, window):
+    """The MC residual check as one equation per target and order, with a
+    Fraction wedge per (a, n, beta, b, m) cached across targets.
+
+    Every formed residual term is classified afterwards: subset-sum mode
+    safety, then exact vanishing.  Its counters are the old definitions:
+    ``degree_censored`` adds a wedge's dropped term pairs on every cache hit.
+    """
+    degree = graded.degree
+    if degree < alpha_max + 1:
+        raise DegreeTooLow(f"degree {degree} cannot support order {alpha_max}; "
+                           f"need degree >= {alpha_max + 1}")
+    bound = window.max_abs_mode
+    half = Fraction(1, 2)
+    report = McResidualReport(ok=True)
+    wedge_cache = {}
+
+    def bucket(gen, mode, power):
+        return graded.by_label[LoopLabel(gen, mode)].bucket(power)
+
+    max_residual_degree = degree - 2
+    for target in enumerate_generators(f, window):
+        for alpha in range(alpha_max + 1):
+            report.targets_checked += 1
+            acc = {}
+            lhs = exterior_derivative(bucket(target.gen, target.mode, alpha))
+            for key, value in lhs.terms.items():
+                acc[key] = acc.get(key, Fraction(0)) + value
+            for a, b, v in f.pairs_into(target.gen):
+                scale = half * v
+                for n in window.modes():
+                    m = target.mode - n
+                    if abs(m) > bound:
+                        continue
+                    for beta in range(alpha + 1):
+                        cache_key = (a, n, beta, b, m, alpha - beta)
+                        if cache_key not in wedge_cache:
+                            wedge_cache[cache_key] = _wedge_truncated(
+                                bucket(a, n, beta), bucket(b, m, alpha - beta),
+                                max_residual_degree)
+                        terms, dropped = wedge_cache[cache_key]
+                        report.degree_censored += dropped
+                        for key, value in terms.items():
+                            acc[key] = acc.get(key, Fraction(0)) + value * scale
+            for (mon, pair), value in sorted(
+                    acc.items(), key=lambda kv: (tuple(label_key(l) for l in kv[0][0].labels),
+                                                 label_key(kv[0][1][0]),
+                                                 label_key(kv[0][1][1]))):
+                if not subset_residual_term_safe(mon, pair, window):
+                    report.mode_censored += 1
+                    continue
+                report.terms_checked += 1
+                if value:
+                    report.violations.append(McResidualTerm(target, alpha, mon, pair, value))
+    report.ok = not report.violations
+    return report

@@ -1,13 +1,15 @@
 """Canonical-form series, wedge/derivative arithmetic, grading, residuals."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopexp import (DegreeTooLow, FormPolynomial, InvalidDegree, LoopLabel,
-                     ModeWindow, SplitKind, builtin_algebra,
+                     ModeWindow, SplitKind, StructureConstants, algebra_from_dict,
+                     builtin_algebra,
                      canonical_form_series, check_grading, exterior_derivative,
                      graded_series_json, make_splitting, rescale_and_collect,
                      resummed, verify_mc_equations, wedge)
@@ -15,7 +17,10 @@ from loopexp.loop import label_key
 from loopexp.mcforms import (CoordMonomial, GradedFormSeries, GradedSeriesResult,
                              TwoForm, residual_term_safe, term_mode_safe)
 
-from helpers_oracles import dense_tensor, finite_bch_series, kind_branch_grading
+from helpers_oracles import (dense_tensor, finite_bch_series, kind_branch_grading,
+                             legacy_verify_mc_equations, subset_residual_term_safe,
+                             subset_term_mode_safe)
+from test_golden import DEFINITIONS
 
 EPS = builtin_algebra("epsilon3")
 ABELIAN = builtin_algebra("abelian4")
@@ -198,6 +203,31 @@ def test_all_zero_modes_reduce_to_finite_dimensional_series():
 def test_window_censoring_is_counted():
     assert canonical_form_series(EPS, ModeWindow(1), 2).censored > 0
     assert canonical_form_series(EPS, ModeWindow(0), 4).censored == 0
+
+
+labels3 = st.builds(LoopLabel, st.integers(1, 3), st.integers(-3, 3))
+monomials = st.lists(labels3, max_size=4).map(CoordMonomial.of)
+
+
+@given(monomials, labels3, labels3, st.integers(0, 3))
+def test_mode_safety_matches_subset_sum_oracle(mon, d1, d2, bound):
+    window = ModeWindow(bound)
+    assert term_mode_safe(mon, d1, window) == subset_term_mode_safe(mon, d1, window)
+    assert (residual_term_safe(mon, (d1, d2), window)
+            == subset_residual_term_safe(mon, (d1, d2), window))
+
+
+@given(monomials, labels3, monomials, labels3, st.integers(0, 2))
+def test_unsafe_series_term_feeds_only_unsafe_residual_terms(mon, diff, mon2, diff2, bound):
+    # The pruning lemma behind the MC residual pass: dropping a series term
+    # that fails term_mode_safe can change only censored residual terms.
+    window = ModeWindow(bound)
+    assume(not term_mode_safe(mon, diff, window))
+    p = FormPolynomial({(mon, diff): Fraction(1)})
+    q = FormPolynomial({(mon2, diff2): Fraction(1)})
+    for two_form in (exterior_derivative(p), wedge(p, q), wedge(q, p)):
+        for (key_mon, pair) in two_form.terms:
+            assert not residual_term_safe(key_mon, pair, window)
 
 
 def test_term_mode_safety():
@@ -391,3 +421,44 @@ def test_series_json_dump_is_canonical():
     first = rows[0]["series"][0]["terms"][0]
     assert set(first) == {"monomial", "differential", "coef"}
     assert isinstance(first["coef"], str)
+
+
+# A raw tensor: f_12 and f_21 are stored independently and disagree, and the
+# diagonal pair (3, 3) is nonzero.
+RAW = StructureConstants(3, {(1, 2, 3): 1, (2, 1, 3): "1/3", (2, 3, 1): 2,
+                             (1, 3, 2): -1, (3, 3, 1): 1}, name="raw")
+RESIDUAL_ALGEBRAS = {"epsilon3": EPS, "solvable2": builtin_algebra("solvable2"),
+                     "nonlie": algebra_from_dict(DEFINITIONS["nonlie"]),
+                     "gl3": algebra_from_dict(DEFINITIONS["gl3"]), "raw": RAW}
+
+
+@lru_cache(maxsize=None)
+def _graded(name, kind, window, degree):
+    f = RESIDUAL_ALGEBRAS[name]
+    split = make_splitting(kind, v0_gens={1} if kind is SplitKind.GENERIC_INDEX else None,
+                           dim=f.dim)
+    return f, split, rescale_and_collect(canonical_form_series(f, ModeWindow(window), degree),
+                                         split)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(RESIDUAL_ALGEBRAS)), st.sampled_from(list(SplitKind)),
+       st.integers(0, 2), st.integers(1, 4), st.data())
+def test_residual_pass_matches_legacy_oracle(name, kind, window, degree, data):
+    if name == "gl3":
+        window, degree = min(window, 1), min(degree, 3)
+    alpha_max = data.draw(st.integers(0, degree - 1))
+    f, split, graded = _graded(name, kind, window, degree)
+    new = verify_mc_equations(graded, f, split, alpha_max, ModeWindow(window))
+    old = legacy_verify_mc_equations(graded, f, split, alpha_max, ModeWindow(window))
+    assert new.ok == old.ok
+    assert new.violations == old.violations
+    assert new.targets_checked == old.targets_checked
+
+
+def test_residual_pass_reports_raw_tensor_violations_like_the_oracle():
+    f, split, graded = _graded("raw", SplitKind.MODE_PARITY_COSET, 1, 3)
+    new = verify_mc_equations(graded, f, split, 2, ModeWindow(1))
+    assert not new.ok
+    assert new.violations == legacy_verify_mc_equations(graded, f, split, 2,
+                                                        ModeWindow(1)).violations
