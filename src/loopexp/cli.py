@@ -20,6 +20,7 @@ from .algebra import (BUILTIN_NAMES, ContradictoryEntries, IndexOutOfRange,
 from .contraction import compare_with_expansion, iw_contract
 from .expansion import (NAMED_CASES, ExpandedAlgebra, ExpandedLabel, build_named,
                         check_closure)
+from .jsonout import json_chunks
 from .loop import ModeWindow
 from .mcforms import (DegreeTooLow, canonical_form_series, check_grading,
                       graded_series_json, rescale_and_collect, verify_mc_equations)
@@ -144,16 +145,19 @@ def _label_json(label: ExpandedLabel) -> list[int]:
     return [label.gen, label.mode, label.order]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: list[str], out: str | None) -> None:
+    """Write fully rendered chunks, so a rendering error leaves no partial file."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    chunks = json_chunks(payload)
+    chunks.append("\n")
+    _emit(chunks, out)
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -268,7 +272,7 @@ def cmd_expand(config: RunConfig) -> int:
         "constants": _constants_json(alg),
     }
     if config.fmt == "latex":
-        _emit(_latex_tables(alg), config.out)
+        _emit([_latex_tables(alg)], config.out)
     else:
         _emit_json(payload, config.out)
     return 0 if closure.closed and jacobi is not None and jacobi.ok else 1

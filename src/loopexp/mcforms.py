@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, lcm
 from typing import Iterable, Mapping, NamedTuple
 
@@ -67,32 +68,35 @@ class CoordMonomial:
     def degree(self) -> int:
         return len(self.labels)
 
-    def times(self, label: LoopLabel) -> "CoordMonomial":
-        return CoordMonomial(tuple(sorted(self.labels + (label,), key=label_key)))
-
     def without_one(self, label: LoopLabel) -> "CoordMonomial":
         labels = list(self.labels)
         labels.remove(label)
         return CoordMonomial(tuple(labels))
 
-    def counts(self) -> list[tuple[LoopLabel, int]]:
+    # A series shares one monomial among its terms, so these two are built once.
+    @cached_property
+    def _counts(self) -> tuple[tuple[LoopLabel, int], ...]:
         out: list[tuple[LoopLabel, int]] = []
         for label in self.labels:
             if out and out[-1][0] == label:
                 out[-1] = (label, out[-1][1] + 1)
             else:
                 out.append((label, 1))
-        return out
+        return tuple(out)
+
+    @cached_property
+    def sort_key(self) -> tuple[tuple[int, int], ...]:
+        """The factors' label keys, in canonical monomial order."""
+        return tuple(label_key(label) for label in self.labels)
+
+    def counts(self) -> list[tuple[LoopLabel, int]]:
+        return list(self._counts)
 
     def sector_count(self, s: Splitting) -> int:
         return sum(1 for label in self.labels if s.sector(label) == 1)
 
     def json_factors(self) -> list[list[int]]:
-        return [[label.gen, label.mode, mult] for label, mult in self.counts()]
-
-
-def _monomial_key(mon: CoordMonomial) -> tuple:
-    return tuple(label_key(lab) for lab in mon.labels)
+        return [[label.gen, label.mode, mult] for label, mult in self._counts]
 
 
 TermKey = tuple[CoordMonomial, LoopLabel]
@@ -126,7 +130,7 @@ class FormPolynomial:
 
     def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
         return sorted(self.terms.items(),
-                      key=lambda kv: (_monomial_key(kv[0][0]), label_key(kv[0][1])))
+                      key=lambda kv: (kv[0][0].sort_key, kv[0][1].mode, kv[0][1].gen))
 
     def __add__(self, other: "FormPolynomial") -> "FormPolynomial":
         acc = dict(self.terms)
@@ -156,7 +160,7 @@ class TwoForm:
 
     def sorted_terms(self) -> list[tuple[PairKey, Fraction]]:
         return sorted(self.terms.items(),
-                      key=lambda kv: (_monomial_key(kv[0][0]),
+                      key=lambda kv: (kv[0][0].sort_key,
                                       label_key(kv[0][1][0]), label_key(kv[0][1][1])))
 
     def __eq__(self, other) -> bool:
@@ -237,41 +241,53 @@ def canonical_form_series(f: StructureConstants, window: ModeWindow, degree: int
         raise InvalidDegree(f"series degree must be a positive integer, got {degree!r}")
     coords = enumerate_generators(f, window)
     bound = window.max_abs_mode
+    gens = range(1, f.dim + 1)
+    rows = {(a, b): f.pair_targets(a, b) for a in gens for b in gens}
+    # A step-k numerator is an integer over scale**k; monomials are sorted
+    # (mode, gen) tuples, whose natural order is label_key order.
+    scale = lcm(*(v.denominator for row in rows.values() for _, v in row))
+    int_rows = {pair: [(c, v.numerator * (scale // v.denominator)) for c, v in row]
+                for pair, row in rows.items() if row}
 
-    out: dict[LoopLabel, dict[TermKey, Fraction]] = {lab: {} for lab in coords}
-    current: dict[LoopLabel, dict[TermKey, Fraction]] = {}
-    for lab in coords:
-        term = {(CoordMonomial.unit(), lab): Fraction(1)}
-        current[lab] = term
-        out[lab][(CoordMonomial.unit(), lab)] = Fraction(1)
-
+    out: dict[LoopLabel, dict[TermKey, Fraction]] = {
+        lab: {(CoordMonomial.unit(), lab): Fraction(1)} for lab in coords}
+    current: dict[LoopLabel, dict[tuple, int]] = {lab: {((), lab): 1} for lab in coords}
+    monomials: dict[tuple, CoordMonomial] = {}
     censored = 0
     for k in range(1, degree):
-        prefactor = Fraction(1, factorial(k + 1))
-        nxt: dict[LoopLabel, dict[TermKey, Fraction]] = {}
+        nxt: dict[LoopLabel, dict[tuple, int]] = {}
         for source, terms in current.items():
             for coord in coords:
-                row = f.pair_targets(source.gen, coord.gen)
-                if not row:
+                row = int_rows.get((source.gen, coord.gen))
+                if row is None:
                     continue
                 mode = source.mode + coord.mode
                 if abs(mode) > bound:
                     censored += len(terms) * len(row)
                     continue
-                for (mon, diff), coef in terms.items():
-                    mon2 = mon.times(coord)
-                    for target_gen, fv in row:
-                        _add(nxt.setdefault(LoopLabel(target_gen, mode), {}),
-                             (mon2, diff), coef * fv)
+                factor = ((coord.mode, coord.gen),)
+                accs = [(nxt.setdefault(LoopLabel(c, mode), {}), v) for c, v in row]
+                for (mon, diff), num in terms.items():
+                    key = (tuple(sorted(mon + factor)), diff)
+                    for acc, v in accs:
+                        acc[key] = acc.get(key, 0) + num * v
+        # A key of degree k arises only at step k, so each output term gets
+        # exactly one Fraction, with the nested-bracket prefactor 1/(k+1)!.
+        den = scale ** k * factorial(k + 1)
+        current = {}
         for label, terms in nxt.items():
+            current[label] = terms = {key: num for key, num in terms.items() if num}
             bucket = out[label]
-            for key, value in terms.items():
-                _add(bucket, key, value * prefactor)
-        current = nxt
+            for (mon, diff), num in terms.items():
+                monomial = monomials.get(mon)
+                if monomial is None:
+                    monomial = monomials[mon] = CoordMonomial(
+                        tuple(LoopLabel(gen, mode) for mode, gen in mon))
+                bucket[monomial, diff] = Fraction(num, den)
         if not current:
             break
 
-    forms = {lab: FormPolynomial(dict(terms)) for lab, terms in out.items()}
+    forms = {lab: FormPolynomial(terms) for lab, terms in out.items()}
     return SeriesResult(forms, degree, window, censored)
 
 

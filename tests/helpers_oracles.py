@@ -4,8 +4,10 @@ Everything here is deliberately coded against dense tables and plain tuples,
 not the package's sparse machinery, so a structural mistake cannot hide on
 both sides of a comparison.  The two splitting oracles after them are the
 per-kind branches that the order table of ``loopexp.splitting`` replaced, and
-the MC residual oracle at the end is the per-order, per-``beta`` residual check
-that the single pruned integer pass of ``loopexp.mcforms`` replaced.
+the MC residual oracle is the per-order, per-``beta`` residual check that the
+single pruned integer pass of ``loopexp.mcforms`` replaced.  The series oracle
+at the end is the ``Fraction`` build of the canonical-form series that the
+integer build replaced.
 """
 
 from fractions import Fraction
@@ -13,8 +15,9 @@ from math import factorial
 
 from loopexp import LoopLabel, SplitKind
 from loopexp.loop import enumerate_generators, label_key
-from loopexp.mcforms import (CoordMonomial, DegreeTooLow, McResidualReport,
-                             McResidualTerm, exterior_derivative)
+from loopexp.mcforms import (CoordMonomial, DegreeTooLow, FormPolynomial,
+                             InvalidDegree, McResidualReport, McResidualTerm,
+                             SeriesResult, exterior_derivative)
 
 
 def dense_tensor(dim: int, raw_entries: dict) -> list:
@@ -253,3 +256,55 @@ def legacy_verify_mc_equations(graded, f, s, alpha_max, window):
                     report.violations.append(McResidualTerm(target, alpha, mon, pair, value))
     report.ok = not report.violations
     return report
+
+
+def _add(acc, key, value):
+    total = acc.get(key, Fraction(0)) + value
+    if total:
+        acc[key] = total
+    elif key in acc:
+        del acc[key]
+
+
+def legacy_canonical_form_series(f, window, degree):
+    """The canonical-form series with a ``Fraction`` update per term and
+    bracket target, and a ``CoordMonomial`` per update."""
+    if not isinstance(degree, int) or degree < 1:
+        raise InvalidDegree(f"series degree must be a positive integer, got {degree!r}")
+    coords = enumerate_generators(f, window)
+    bound = window.max_abs_mode
+
+    out = {lab: {} for lab in coords}
+    current = {}
+    for lab in coords:
+        current[lab] = {(CoordMonomial.unit(), lab): Fraction(1)}
+        out[lab][(CoordMonomial.unit(), lab)] = Fraction(1)
+
+    censored = 0
+    for k in range(1, degree):
+        prefactor = Fraction(1, factorial(k + 1))
+        nxt = {}
+        for source, terms in current.items():
+            for coord in coords:
+                row = f.pair_targets(source.gen, coord.gen)
+                if not row:
+                    continue
+                mode = source.mode + coord.mode
+                if abs(mode) > bound:
+                    censored += len(terms) * len(row)
+                    continue
+                for (mon, diff), coef in terms.items():
+                    mon2 = CoordMonomial.of(mon.labels + (coord,))
+                    for target_gen, fv in row:
+                        _add(nxt.setdefault(LoopLabel(target_gen, mode), {}),
+                             (mon2, diff), coef * fv)
+        for label, terms in nxt.items():
+            bucket = out[label]
+            for key, value in terms.items():
+                _add(bucket, key, value * prefactor)
+        current = nxt
+        if not current:
+            break
+
+    forms = {lab: FormPolynomial(dict(terms)) for lab, terms in out.items()}
+    return SeriesResult(forms, degree, window, censored)

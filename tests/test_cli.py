@@ -163,6 +163,16 @@ def test_mc_degree_too_low():
                "--degree", "1", "--alpha-max", "2", "--window", "1") == 2
 
 
+@pytest.mark.xfail(strict=True, reason="closure is scanned on the mode window; at -M 0 it "
+                                       "holds no odd mode, so no sector-1 bracket is seen")
+def test_window_zero_does_not_pass_an_unclosed_truncation(tmp_path):
+    # At -M 1 the same truncation has 24 closure violations.
+    out = tmp_path / "report.json"
+    run("expand", *EPS_ARGS, "--split", "mode_parity", "--n0", "0", "--n1", "3",
+        "-M", "0", "--out", str(out))
+    assert read(out)["closed"] is False
+
+
 def test_sweep_closure_matrix(tmp_path):
     out = tmp_path / "sweep.json"
     assert run("sweep", *EPS_ARGS, "--split", "generic", "--v0-gens", "1,2",

@@ -18,8 +18,8 @@ from loopexp.mcforms import (CoordMonomial, GradedFormSeries, GradedSeriesResult
                              TwoForm, residual_term_safe, term_mode_safe)
 
 from helpers_oracles import (dense_tensor, finite_bch_series, kind_branch_grading,
-                             legacy_verify_mc_equations, subset_residual_term_safe,
-                             subset_term_mode_safe)
+                             legacy_canonical_form_series, legacy_verify_mc_equations,
+                             subset_residual_term_safe, subset_term_mode_safe)
 from test_golden import DEFINITIONS
 
 EPS = builtin_algebra("epsilon3")
@@ -462,3 +462,28 @@ def test_residual_pass_reports_raw_tensor_violations_like_the_oracle():
     assert not new.ok
     assert new.violations == legacy_verify_mc_equations(graded, f, split, 2,
                                                         ModeWindow(1)).violations
+
+
+SERIES_ALGEBRAS = {"epsilon3": EPS, "solvable2": builtin_algebra("solvable2"),
+                   "gl3": RESIDUAL_ALGEBRAS["gl3"], "raw": RAW,
+                   "file-algebra": algebra_from_dict(DEFINITIONS["file-algebra"])}
+# gl3 stops at M=1, D=4: its M=1, D=5 series has 186k terms and takes seconds.
+SERIES_CASES = [(name, window, degree) for name in sorted(SERIES_ALGEBRAS)
+                for window in range(3) for degree in range(1, 6)
+                if name != "gl3" or (window <= 1 and degree <= 4)]
+
+
+@pytest.mark.parametrize("name, window, degree", SERIES_CASES)
+def test_integer_series_matches_fraction_oracle(name, window, degree):
+    f = SERIES_ALGEBRAS[name]
+    new = canonical_form_series(f, ModeWindow(window), degree)
+    old = legacy_canonical_form_series(f, ModeWindow(window), degree)
+    assert new.forms == old.forms
+    assert list(new.forms) == list(old.forms)
+    assert new.censored == old.censored
+    assert (new.degree, new.window) == (old.degree, old.window)
+    for poly_ in new.forms.values():
+        assert all(type(coef) is Fraction for coef in poly_.terms.values())
+        assert poly_.sorted_terms() == sorted(
+            poly_.terms.items(), key=lambda kv: (tuple(label_key(x) for x in kv[0][0].labels),
+                                                 label_key(kv[0][1])))
