@@ -2,17 +2,17 @@
 
 from .algebra import (BUILTIN_NAMES, ContradictoryEntries, IndexOutOfRange,
                       StructureConstants, ValidationReport, algebra_from_dict,
-                      algebra_to_dict, builtin_algebra, load_algebra, validate)
+                      builtin_algebra, load_algebra, validate)
 from .contraction import (ContractedAlgebra, ContractionDiff, WrongSplitKind,
                           compare_with_expansion, contracted_jacobi_residuals,
                           iw_contract)
-from .expansion import (ClosureReport, ClosureViolation, ExpandedAlgebra,
-                        ExpandedJacobiReport, ExpandedLabel, InadmissibleLabel,
-                        NAMED_CASES, NotClosed, UnknownCase, build_named,
-                        check_closure, check_jacobi_expanded, expanded_constant,
-                        generator_set)
-from .loop import (LoopLabel, ModeWindow, conjugate_label, enumerate_generators,
-                   jacobi_residuals, loop_bracket, loop_structure_constant)
+from .expansion import (ClosureCell, ClosureQuotient, ClosureReport, ClosureViolation,
+                        ExpandedAlgebra, ExpandedJacobiReport, ExpandedLabel,
+                        InadmissibleLabel, NAMED_CASES, NotClosed, UnknownCase,
+                        build_named, check_closure, check_jacobi_expanded,
+                        expanded_constant, generator_set)
+from .loop import (LoopLabel, ModeWindow, enumerate_generators, jacobi_residuals,
+                   loop_bracket, loop_structure_constant)
 from .mcforms import (CoordMonomial, DegreeTooLow, FormPolynomial,
                       GradedFormSeries, GradedSeriesResult, InvalidDegree,
                       McResidualReport, SeriesResult, TwoForm,

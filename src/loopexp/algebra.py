@@ -223,12 +223,6 @@ def algebra_from_dict(data: Mapping) -> StructureConstants:
     return StructureConstants(dim, canon, name=name)
 
 
-def algebra_to_dict(f: StructureConstants) -> dict:
-    entries = [{"a": a, "b": b, "c": c, "value": format_rational(v)}
-               for (a, b, c), v in sorted(f.entries.items())]
-    return {"name": f.name, "dim": f.dim, "entries": entries}
-
-
 def load_algebra(path: str) -> StructureConstants:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)

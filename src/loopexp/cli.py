@@ -18,8 +18,8 @@ from .algebra import (BUILTIN_NAMES, ContradictoryEntries, IndexOutOfRange,
                       StructureConstants, builtin_algebra, format_rational,
                       load_algebra, validate)
 from .contraction import compare_with_expansion, iw_contract
-from .expansion import (NAMED_CASES, ExpandedAlgebra, ExpandedLabel, build_named,
-                        check_closure)
+from .expansion import (NAMED_CASES, ClosureQuotient, ExpandedAlgebra, ExpandedLabel,
+                        build_named)
 from .jsonout import json_chunks
 from .loop import ModeWindow
 from .mcforms import (DegreeTooLow, canonical_form_series, check_grading,
@@ -216,7 +216,9 @@ def _retained_brackets(alg: ExpandedAlgebra):
 
 
 def _constants_json(alg: ExpandedAlgebra) -> list[list]:
-    return [[_label_json(x), _label_json(y), _label_json(z), format_rational(v)]
+    # Rows share one list per label, which keeps a large report's memory down.
+    labels = {g: _label_json(g) for g in alg.generators}
+    return [[labels[x], labels[y], labels[z], format_rational(v)]
             for x, y, terms in _retained_brackets(alg) for z, v in terms.items()]
 
 
@@ -342,13 +344,9 @@ def cmd_sweep(config: RunConfig) -> int:
     f = _load_algebra_spec(config.algebra)
     window = ModeWindow(config.window)
     split = _make_split(config, f.dim)
-    cells = []
-    for n0 in range(config.n0_max + 1):
-        for n1 in range(config.n1_max + 1):
-            closure = check_closure(f, split, n0, n1, window)
-            cells.append({"n0": n0, "n1": n1, "closed": closure.closed,
-                          "violations": len(closure.violations),
-                          "window_censored": closure.window_censored})
+    quotient = ClosureQuotient(f, split, window)
+    cells = [quotient.cell(n0, n1)._asdict()
+             for n0 in range(config.n0_max + 1) for n1 in range(config.n1_max + 1)]
     payload = {
         "algebra": f.name or config.algebra,
         "splitting": split_to_dict(split),
@@ -412,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser holds reference cycles; dropping it before the command runs
+    # lets it be freed at once instead of surviving into an older GC generation.
+    args = build_parser().parse_args(argv)
     try:
         config = build_config(args)
         handler = _HANDLERS[args.command]

@@ -8,21 +8,32 @@ the splitting.  Structure constants factor through two deltas,
 
 and components above the truncation orders are quotiented to zero.  Closure
 asks that every retained one-form equation reference only retained one-forms;
-this is the criterion the truncation-order theorems are about, and it is what
-:func:`check_closure` scans.  :func:`check_jacobi_expanded` supplies the
-truncated bracket :meth:`ExpandedAlgebra.bracket` to the shared sweep
-:func:`loopexp.loop.jacobi_sweep`.
+this is the criterion the truncation-order theorems are about.
+
+Both verdicts hold for every mode, not just a window.  Whether a label exists
+and is retained depends on its mode only through the mode's class (see
+:mod:`loopexp.splitting`), so :class:`ClosureQuotient` decides closure from
+one representative (target, source) mode pair per realizable class triple,
+and :func:`check_jacobi_expanded` decides Jacobi from one representative
+triple per class pattern through :func:`loopexp.loop.class_jacobi_sweep`.
+The window bounds only what the reports list and count: witnesses are
+enumerated over windowed modes only when the quotient finds a defect, and
+the counters are mode-counting formulas equal to the windowed scan's counts.
+A defect none of whose instances fit the window is reported as a failed
+verdict with an empty witness list.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import StructureConstants
-from .loop import LoopLabel, ModeWindow, jacobi_sweep
-from .splitting import SplitKind, Splitting, make_splitting
+from .loop import LoopLabel, ModeWindow, class_jacobi_sweep
+from .splitting import SplitKind, Splitting, make_splitting, pair_modes
 
 
 class InadmissibleLabel(ValueError):
@@ -76,11 +87,17 @@ def expanded_constant(f: StructureConstants, s: Splitting, x: ExpandedLabel,
     return f.entry(x.gen, y.gen, z.gen)
 
 
-def is_retained(s: Splitting, n0: int, n1: int, label: ExpandedLabel) -> bool:
-    """Structural existence plus the truncation-order bound (window-free)."""
-    loop_label = LoopLabel(label.gen, label.mode)
-    return (s.exists(loop_label, label.order)
-            and label.order <= (n0, n1)[s.sector(loop_label)])
+def retained_at(f: StructureConstants, s: Splitting, n0: int, n1: int,
+                mode: int) -> list[ExpandedLabel]:
+    """The admissible labels for (s, n0, n1) at one mode, by generator and order."""
+    labels = []
+    for a in range(1, f.dim + 1):
+        loop_label = LoopLabel(a, mode)
+        sector = s.sector(loop_label)
+        labels.extend(ExpandedLabel(a, mode, alpha, sector)
+                      for alpha in range((n0, n1)[sector] + 1)
+                      if s.exists(loop_label, alpha))
+    return labels
 
 
 def generator_set(f: StructureConstants, s: Splitting, n0: int, n1: int,
@@ -88,14 +105,7 @@ def generator_set(f: StructureConstants, s: Splitting, n0: int, n1: int,
     """All admissible labels for (s, n0, n1) with windowed modes, in canonical order."""
     if n0 < 0 or n1 < 0:
         raise ValueError("truncation orders must be non-negative")
-    labels = []
-    for n in window.modes():
-        for a in range(1, f.dim + 1):
-            loop_label = LoopLabel(a, n)
-            sector = s.sector(loop_label)
-            labels.extend(ExpandedLabel(a, n, alpha, sector)
-                          for alpha in range((n0, n1)[sector] + 1)
-                          if s.exists(loop_label, alpha))
+    labels = [label for n in window.modes() for label in retained_at(f, s, n0, n1, n)]
     labels.sort(key=expanded_key)
     return labels
 
@@ -116,18 +126,81 @@ class ClosureReport:
     window_censored: int = 0
 
 
-def check_closure(f: StructureConstants, s: Splitting, n0: int, n1: int,
-                  window: ModeWindow) -> ClosureReport:
-    """Scan every retained equation for references to truncated-away one-forms.
+class ClosureCell(NamedTuple):
+    """One truncation's closure verdict and its windowed counts."""
 
-    For each retained target (c,l;alpha), every source pair (a,n;beta),
-    (b,m;alpha-beta) with nonzero base constant into c must consist of
-    retained labels; identically-vanishing forms are skipped, and source
-    pairs whose partner mode escapes the window are counted separately as
-    censored rather than reported as violations.
+    n0: int
+    n1: int
+    closed: bool
+    violations: int
+    window_censored: int
+
+
+class ClosureQuotient:
+    """Closure of every truncation of one splitting, decided by mode class.
+
+    Whether a source pair (a,n;beta), (b,m;gamma) of a target (c,l;alpha)
+    exists and is retained depends on the three labels' sectors, which follow
+    from the generators and the classes of (l, n, m = l - n).  So each nonzero
+    f_ab^c at each representative mode pair gives a sector pattern, and a
+    truncation is closed iff no realized pattern has a source above its cap.
+    :func:`check_closure`'s windowed counts follow: each pattern's violations
+    times its windowed mode pairs, and for each windowed target, its |l|
+    partner modes outside the window.
     """
+
+    def __init__(self, f: StructureConstants, s: Splitting, window: ModeWindow):
+        self.rule = s.order_rule
+        in_window: Counter = Counter(
+            tuple(map(s.mode_class, pair_modes((l, n))))
+            for l in window.modes() for n in window.modes() if window.contains(l - n))
+        # (sector z, sector x, sector y) -> windowed mode pairs times entries.
+        self.patterns: Counter = Counter()
+        for pair in s.representatives.pairs:
+            l, n, m = pair_modes(pair)
+            weight = in_window[tuple(map(s.mode_class, (l, n, m)))]
+            for c in range(1, f.dim + 1):
+                target = s.sector(LoopLabel(c, l))
+                for a, b, _ in f.pairs_into(c):
+                    key = (target, s.sector(LoopLabel(a, n)), s.sector(LoopLabel(b, m)))
+                    self.patterns[key] += weight
+        # Per target sector: windowed source pairs times their outside partner modes.
+        self.censorable = [0, 0]
+        for l in window.modes():
+            for c in range(1, f.dim + 1):
+                self.censorable[s.sector(LoopLabel(c, l))] += abs(l) * len(f.pairs_into(c))
+
+    def _violations(self, caps: tuple[int, int], target: int, x: int, y: int) -> int:
+        """One pattern's violations at one mode pair, over the retained target
+        orders alpha and the source orders beta + gamma = alpha."""
+        lowest, step = self.rule
+        admits = self.rule.admits
+        count = 0
+        for alpha in range(lowest[target], caps[target] + 1, step):
+            for beta in range(alpha + 1):
+                if admits(x, beta) and admits(y, alpha - beta):
+                    count += (beta > caps[x]) + (alpha - beta > caps[y])
+        return count
+
+    def cell(self, n0: int, n1: int) -> ClosureCell:
+        if n0 < 0 or n1 < 0:
+            raise ValueError("truncation orders must be non-negative")
+        caps = (n0, n1)
+        counts = {pattern: self._violations(caps, *pattern) for pattern in self.patterns}
+        lowest, step = self.rule
+        censored = sum(self.censorable[sector] * sum(alpha + 1 for alpha in
+                                                     range(lowest[sector], caps[sector] + 1, step))
+                       for sector in (0, 1))
+        return ClosureCell(n0, n1, not any(counts.values()),
+                           sum(counts[p] * weight for p, weight in self.patterns.items()),
+                           censored)
+
+
+def _closure_witnesses(f: StructureConstants, s: Splitting, n0: int, n1: int,
+                       window: ModeWindow) -> list[ClosureViolation]:
+    """Every violation whose three modes lie in the window, in scan order."""
     bound = window.max_abs_mode
-    report = ClosureReport(closed=True)
+    violations = []
     for z in generator_set(f, s, n0, n1, window):
         for a, b, v in f.pairs_into(z.gen):
             for beta in range(z.order + 1):
@@ -135,7 +208,6 @@ def check_closure(f: StructureConstants, s: Splitting, n0: int, n1: int,
                 for n in window.modes():
                     m = z.mode - n
                     if abs(m) > bound:
-                        report.window_censored += 1
                         continue
                     x = make_label(s, a, n, beta)
                     y = make_label(s, b, m, gamma)
@@ -144,10 +216,25 @@ def check_closure(f: StructureConstants, s: Splitting, n0: int, n1: int,
                     # Both labels exist, so retention is the order cap alone.
                     for source in (x, y):
                         if source.order > (n0, n1)[source.sector]:
-                            report.violations.append(
-                                ClosureViolation((x, y), z, source, v))
-    report.closed = not report.violations
-    return report
+                            violations.append(ClosureViolation((x, y), z, source, v))
+    return violations
+
+
+def check_closure(f: StructureConstants, s: Splitting, n0: int, n1: int,
+                  window: ModeWindow) -> ClosureReport:
+    """Does every retained equation, at every mode, reference only retained one-forms?
+
+    For each retained target (c,l;alpha), every source pair (a,n;beta),
+    (b,m;alpha-beta) with nonzero base constant into c must consist of
+    retained labels; identically-vanishing forms are skipped.  The verdict
+    comes from :class:`ClosureQuotient`.  The violations listed are those
+    with all three modes in the window, and ``window_censored`` counts the
+    (target, source pair, order split, n) combinations whose partner mode
+    m = l - n leaves it.
+    """
+    cell = ClosureQuotient(f, s, window).cell(n0, n1)
+    violations = [] if cell.closed else _closure_witnesses(f, s, n0, n1, window)
+    return ClosureReport(cell.closed, violations, cell.window_censored)
 
 
 class JacobiResidual(NamedTuple):
@@ -167,19 +254,25 @@ class ExpandedJacobiReport:
 
 
 def check_jacobi_expanded(f: StructureConstants, s: Splitting, n0: int, n1: int,
-                          window: ModeWindow) -> ExpandedJacobiReport:
-    """Cyclic Jacobi sweep with the truncation quotient applied to intermediates.
+                          window: ModeWindow, closure: ClosureReport | None = None
+                          ) -> ExpandedJacobiReport:
+    """Cyclic Jacobi check with the truncation quotient applied to intermediates.
 
-    Requires closure first; raises NotClosed otherwise.  The sweep uses
+    Requires closure first; raises NotClosed otherwise (``closure`` is this
+    truncation's report, if already computed).  The check uses
     :meth:`ExpandedAlgebra.bracket`, so intermediates above the truncation
-    orders vanish.
+    orders vanish, and takes its verdict from the splitting's representative
+    triples; the residual rows are those of the windowed triples.
     """
-    closure = check_closure(f, s, n0, n1, window)
+    if closure is None:
+        closure = check_closure(f, s, n0, n1, window)
     if not closure.closed:
         raise NotClosed(f"truncation ({n0},{n1}) is not closed; "
                         f"{len(closure.violations)} violations")
     alg = ExpandedAlgebra.build(f, s, n0, n1, window)
-    rows, checked, skipped = jacobi_sweep(alg.generators, alg.bracket, window.max_abs_mode)
+    rows, checked, skipped = class_jacobi_sweep(
+        alg.generators, lambda mode: retained_at(f, s, n0, n1, mode), alg.bracket,
+        s.representatives.triples, window.max_abs_mode)
     residuals = [JacobiResidual(*r) for r in rows]
     return ExpandedJacobiReport(not residuals, residuals, checked, skipped)
 
@@ -202,7 +295,10 @@ class ExpandedAlgebra:
                    tuple(generator_set(f, s, n0, n1, window)))
 
     def contains(self, label: ExpandedLabel) -> bool:
-        return is_retained(self.split, self.n0, self.n1, label)
+        """Structural existence plus the truncation-order bound (window-free)."""
+        loop_label = LoopLabel(label.gen, label.mode)
+        return (self.split.exists(loop_label, label.order)
+                and label.order <= (self.n0, self.n1)[self.split.sector(loop_label)])
 
     def bracket(self, x: ExpandedLabel, y: ExpandedLabel) -> dict[ExpandedLabel, Fraction]:
         """The retained terms of [x, y]; terms above the truncation orders vanish."""
@@ -220,11 +316,17 @@ class ExpandedAlgebra:
                                         f"({self.n0},{self.n1})")
         return expanded_constant(self.base, self.split, x, y, z)
 
-    def closure_report(self) -> ClosureReport:
+    @cached_property
+    def _closure(self) -> ClosureReport:
         return check_closure(self.base, self.split, self.n0, self.n1, self.window)
 
+    def closure_report(self) -> ClosureReport:
+        """This truncation's closure report, computed once."""
+        return self._closure
+
     def jacobi_report(self) -> ExpandedJacobiReport:
-        return check_jacobi_expanded(self.base, self.split, self.n0, self.n1, self.window)
+        return check_jacobi_expanded(self.base, self.split, self.n0, self.n1, self.window,
+                                     closure=self._closure)
 
 
 NAMED_CASES: dict[str, tuple[SplitKind, int, int]] = {

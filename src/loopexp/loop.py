@@ -2,15 +2,21 @@
 
 The algebra itself is infinite-dimensional; structure constants are evaluated
 symbolically in the mode via the delta factor, and :class:`ModeWindow` only
-bounds enumeration and verification sweeps.
+bounds enumeration and the witness lists.
 
-:func:`jacobi_sweep` is the package's one cyclic Jacobi sweep: the base, loop,
-expanded and contracted algebras each supply only a bracket on their labels,
-and :func:`loop_bracket` is the loop algebra's.
+:func:`class_jacobi_sweep` decides the cyclic Jacobi identity for all modes:
+the loop, expanded and contracted brackets depend on a mode only through its
+class, so one representative triple per class pattern settles every triple
+with that pattern.  The loop bracket is unmasked and has one class, so its
+only representative is the base algebra's ``(0, 0, 0)``.  Only when a
+representative has a nonzero residual does :func:`jacobi_sweep`, the windowed
+enumeration, list the witness rows; the windowed counts are
+:func:`sweep_counts` of the labels per mode.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Hashable, NamedTuple, Sequence
@@ -66,11 +72,6 @@ def loop_structure_constant(f: StructureConstants, x: LoopLabel, y: LoopLabel,
     return f.entry(x.gen, y.gen, z.gen)
 
 
-def conjugate_label(x: LoopLabel) -> tuple[LoopLabel, int]:
-    """Hermitian conjugation on labels: T_a^m -> -T_a^{-m}."""
-    return LoopLabel(x.gen, -x.mode), -1
-
-
 def enumerate_generators(f: StructureConstants, window: ModeWindow) -> list[LoopLabel]:
     """All windowed labels in canonical order (mode-major, then generator)."""
     return [LoopLabel(a, n) for n in window.modes() for a in range(1, f.dim + 1)]
@@ -88,13 +89,7 @@ def jacobi_sweep(labels: Sequence, bracket: Callable[[Hashable, Hashable], dict]
     triples checked, and the window skips: one per skipped pair plus one per
     skipped third label of a kept pair.
     """
-    table: dict[tuple, tuple] = {}
-
-    def row(u, v) -> tuple:
-        if (u, v) not in table:
-            table[u, v] = tuple(bracket(u, v).items())
-        return table[u, v]
-
+    row = _memoised_rows(bracket)
     rows: list[tuple] = []
     checked = skipped = 0
     for x in labels:
@@ -108,24 +103,86 @@ def jacobi_sweep(labels: Sequence, bracket: Callable[[Hashable, Hashable], dict]
                     skipped += 1
                     continue
                 checked += 1
-                acc: dict = {}
-                for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-                    for mid, f1 in row(u, v):
-                        for out, f2 in row(mid, w):
-                            acc[out] = acc.get(out, 0) + f1 * f2
-                for target, value in sorted(acc.items()):
+                for target, value in sorted(_cyclic_sum(row, x, y, z).items()):
                     if value:
                         rows.append((x, y, z, target, value))
     return rows, checked, skipped
 
 
+def _memoised_rows(bracket: Callable[[Hashable, Hashable], dict]) -> Callable:
+    """``bracket`` as item tuples, memoised for the caller's lifetime."""
+    table: dict[tuple, tuple] = {}
+
+    def row(u, v) -> tuple:
+        if (u, v) not in table:
+            table[u, v] = tuple(bracket(u, v).items())
+        return table[u, v]
+
+    return row
+
+
+def _cyclic_sum(row: Callable, x, y, z) -> dict:
+    """The terms of [[x,y],z] + [[y,z],x] + [[z,x],y], exact zeros included."""
+    acc: dict = {}
+    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+        for mid, f1 in row(u, v):
+            for out, f2 in row(mid, w):
+                acc[out] = acc.get(out, 0) + f1 * f2
+    return acc
+
+
+def sweep_counts(per_mode: dict[int, int], bound: int) -> tuple[int, int]:
+    """The triples checked and the window skips of :func:`jacobi_sweep` over a
+    label list with ``per_mode[n]`` labels at mode ``n``, without the sweep."""
+    checked = skipped = 0
+    for n, g_n in per_mode.items():
+        for m, g_m in per_mode.items():
+            if abs(n + m) > bound:
+                skipped += g_n * g_m
+                continue
+            for l, g_l in per_mode.items():
+                if abs(m + l) > bound or abs(l + n) > bound or abs(n + m + l) > bound:
+                    skipped += g_n * g_m * g_l
+                else:
+                    checked += g_n * g_m * g_l
+    return checked, skipped
+
+
+def class_jacobi_sweep(labels: Sequence, labels_at: Callable[[int], Sequence],
+                       bracket: Callable[[Hashable, Hashable], dict],
+                       triples: Sequence[tuple[int, int, int]], bound: int
+                       ) -> tuple[list[tuple], int, int]:
+    """:func:`jacobi_sweep`'s result over the windowed ``labels``, with the
+    verdict taken from the representative mode ``triples``.
+
+    ``labels_at(n)`` lists every label at mode ``n``, in or out of the window.
+    When no representative triple has a nonzero residual, the identity holds
+    at every triple of every mode, the rows are empty and only the counts are
+    computed; otherwise the windowed sweep lists the rows.  A defect whose
+    representatives lie outside the window then gives no rows.
+    """
+    row = _memoised_rows(bracket)
+    at = {mode: labels_at(mode) for triple in triples for mode in triple}
+    for n, m, l in triples:
+        for x in at[n]:
+            for y in at[m]:
+                for z in at[l]:
+                    if any(_cyclic_sum(row, x, y, z).values()):
+                        return jacobi_sweep(labels, bracket, bound)
+    return ([], *sweep_counts(Counter(label.mode for label in labels), bound))
+
+
 def jacobi_residuals(f: StructureConstants, window: ModeWindow
                      ) -> tuple[list[tuple[LoopLabel, LoopLabel, LoopLabel, LoopLabel, Fraction]], int]:
-    """Windowed cyclic Jacobi sweep of the loop algebra.
+    """Cyclic Jacobi check of the loop algebra.
 
-    Returns the nonzero residual rows and the number of triples checked.
+    Returns the nonzero residual rows of the windowed triples and the number
+    of triples checked.  A loop triple's residual is the base algebra's
+    residual of its generators at the summed mode, so the rows are empty
+    exactly when :func:`loopexp.algebra.validate` finds no Jacobi defect.
     """
-    rows, checked, _ = jacobi_sweep(enumerate_generators(f, window),
-                                    lambda x, y: loop_bracket(f, x, y),
-                                    window.max_abs_mode)
+    rows, checked, _ = class_jacobi_sweep(
+        enumerate_generators(f, window),
+        lambda mode: [LoopLabel(a, mode) for a in range(1, f.dim + 1)],
+        lambda x, y: loop_bracket(f, x, y), ((0, 0, 0),), window.max_abs_mode)
     return rows, checked

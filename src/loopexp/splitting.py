@@ -2,6 +2,15 @@
 
 Three kinds are supported: a generator-index split (mode-independent), the
 zero-mode subalgebra split, and the even/odd mode-parity coset split.
+
+Each kind is two rows of data.  ``ORDER_RULES`` says at which orders a
+sector's one-forms exist.  ``MODE_CLASSES`` says how a mode is sorted into a
+class: its parity on the coset, zero or nonzero on the zero-mode split, one
+class on the generic split.  A label's sector, and so the existence and
+retention of every expanded structure constant, depends on a mode only
+through its class.  :class:`ModeClasses` therefore lists representative modes
+for every class pattern that mode addition realizes, and closure and Jacobi
+are decided for all modes from those representatives.
 """
 
 from __future__ import annotations
@@ -9,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import product
 from typing import Callable, NamedTuple
 
 from .algebra import StructureConstants
@@ -33,6 +43,10 @@ class OrderRule(NamedTuple):
     lowest: tuple[int, int]
     step: int
 
+    def admits(self, sector: int, order: int) -> bool:
+        first = self.lowest[sector]
+        return order >= first and (order - first) % self.step == 0
+
 
 # When V0 is a subalgebra, sector-1 forms start at order 1; on a symmetric
 # coset only the orders whose parity matches the sector exist.
@@ -43,6 +57,64 @@ ORDER_RULES: dict[SplitKind, OrderRule] = {
 }
 
 
+# The class of a mode.  On the two mode-graded kinds the class is the sector;
+# the generic kind has one class and takes its sector from the generator.
+MODE_CLASSES: dict[SplitKind, Callable[[int], int]] = {
+    SplitKind.GENERIC_INDEX: lambda mode: 0,
+    SplitKind.ZERO_MODE_SUBALGEBRA: lambda mode: 0 if mode == 0 else 1,
+    SplitKind.MODE_PARITY_COSET: lambda mode: mode % 2,
+}
+
+
+class ModeClasses(NamedTuple):
+    """Representative modes of a class function.
+
+    ``pairs`` holds one ``(l, n)`` for each realizable class triple
+    ``(l, n, l - n)``: a target mode and a source mode.  ``triples`` holds one
+    ``(n, m, l)`` for each realizable class pattern of
+    ``(n, m, l, n+m, m+l, l+n, n+m+l)``.  Each representative has the smallest
+    largest ``|mode|`` among those sums, so it lies in every window that
+    holds any instance of its pattern.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    triples: tuple[tuple[int, int, int], ...]
+
+
+def pair_modes(pair: tuple[int, int]) -> tuple[int, int, int]:
+    """The modes ``(l, n, l - n)`` of a target/source pair."""
+    l, n = pair
+    return l, n, l - n
+
+
+def triple_modes(triple: tuple[int, int, int]) -> tuple[int, ...]:
+    """The modes ``(n, m, l, n+m, m+l, l+n, n+m+l)`` of a Jacobi triple."""
+    n, m, l = triple
+    return n, m, l, n + m, m + l, l + n, n + m + l
+
+
+def find_representatives(mode_class: Callable[[int], int], span: int = 3) -> ModeClasses:
+    """Search ``|mode| <= span`` for one representative of each class pattern;
+    a wider search finds no new pattern for any kind of :data:`MODE_CLASSES`."""
+    # Positive modes before negative ones among equal |mode|.
+    modes = sorted(range(-span, span + 1), key=lambda n: (abs(n), n < 0))
+
+    def first_per_pattern(candidates, spread):
+        found: dict[tuple, tuple] = {}
+        for cand in sorted(candidates, key=lambda c: max(map(abs, spread(c)))):
+            found.setdefault(tuple(map(mode_class, spread(cand))), cand)
+        return tuple(found.values())
+
+    return ModeClasses(first_per_pattern(product(modes, repeat=2), pair_modes),
+                       first_per_pattern(product(modes, repeat=3), triple_modes))
+
+
+@cache
+def mode_classes(kind: SplitKind) -> ModeClasses:
+    """The representatives of one kind, found once."""
+    return find_representatives(MODE_CLASSES[kind])
+
+
 @dataclass(frozen=True)
 class Splitting:
     """A declared V0 + V1 decomposition with a total sector function on labels."""
@@ -50,12 +122,21 @@ class Splitting:
     kind: SplitKind
     v0_gens: frozenset[int] | None = None
 
+    @cached_property
+    def mode_class(self) -> Callable[[int], int]:
+        """This kind's class function from :data:`MODE_CLASSES`."""
+        return MODE_CLASSES[self.kind]
+
+    @cached_property
+    def representatives(self) -> ModeClasses:
+        return mode_classes(self.kind)
+
     def sector(self, label: LoopLabel) -> int:
-        if self.kind is SplitKind.GENERIC_INDEX:
+        """The mode class on the mode-graded kinds; on the generic kind, which
+        alone carries ``v0_gens``, whether the generator lies outside V0."""
+        if self.v0_gens is not None:
             return 0 if label.gen in self.v0_gens else 1
-        if self.kind is SplitKind.ZERO_MODE_SUBALGEBRA:
-            return 0 if label.mode == 0 else 1
-        return label.mode % 2
+        return self.mode_class(label.mode)
 
     @cached_property
     def order_rule(self) -> OrderRule:
@@ -65,9 +146,7 @@ class Splitting:
     def exists(self, label: LoopLabel, order: int) -> bool:
         """Whether the coefficient one-form of ``label`` at ``order`` is a genuine
         object rather than one that vanishes identically."""
-        lowest, step = self.order_rule
-        first = lowest[self.sector(label)]
-        return order >= first and (order - first) % step == 0
+        return self.order_rule.admits(self.sector(label), order)
 
 
 def make_splitting(kind: SplitKind, *, v0_gens=None, dim: int | None = None) -> Splitting:

@@ -7,14 +7,22 @@ per-kind branches that the order table of ``loopexp.splitting`` replaced, and
 the MC residual oracle is the per-order, per-``beta`` residual check that the
 single pruned integer pass of ``loopexp.mcforms`` replaced.  The series oracle
 at the end is the ``Fraction`` build of the canonical-form series that the
-integer build replaced.
+integer build replaced.  The ``windowed_*`` oracles are the closure scan,
+Jacobi sweeps and contraction comparison that decided their verdicts on the
+mode window alone, before the mode-class quotient; last come two helpers that
+only tests use.
 """
 
 from fractions import Fraction
 from math import factorial
 
 from loopexp import LoopLabel, SplitKind
-from loopexp.loop import enumerate_generators, label_key
+from loopexp.algebra import format_rational
+from loopexp.contraction import ContractionDiff
+from loopexp.expansion import (ClosureReport, ClosureViolation, ExpandedAlgebra,
+                               ExpandedJacobiReport, ExpandedLabel, JacobiResidual,
+                               NotClosed, expanded_constant, generator_set, make_label)
+from loopexp.loop import enumerate_generators, jacobi_sweep, label_key, loop_bracket
 from loopexp.mcforms import (CoordMonomial, DegreeTooLow, FormPolynomial,
                              InvalidDegree, McResidualReport, McResidualTerm,
                              SeriesResult, exterior_derivative)
@@ -308,3 +316,94 @@ def legacy_canonical_form_series(f, window, degree):
 
     forms = {lab: FormPolynomial(dict(terms)) for lab, terms in out.items()}
     return SeriesResult(forms, degree, window, censored)
+
+
+def windowed_check_closure(f, s, n0, n1, window):
+    """Closure scanned over the windowed modes only: the verdict is the
+    absence of a windowed violation."""
+    bound = window.max_abs_mode
+    report = ClosureReport(closed=True)
+    for z in generator_set(f, s, n0, n1, window):
+        for a, b, v in f.pairs_into(z.gen):
+            for beta in range(z.order + 1):
+                gamma = z.order - beta
+                for n in window.modes():
+                    m = z.mode - n
+                    if abs(m) > bound:
+                        report.window_censored += 1
+                        continue
+                    x = make_label(s, a, n, beta)
+                    y = make_label(s, b, m, gamma)
+                    if x is None or y is None:
+                        continue
+                    for source in (x, y):
+                        if source.order > (n0, n1)[source.sector]:
+                            report.violations.append(
+                                ClosureViolation((x, y), z, source, v))
+    report.closed = not report.violations
+    return report
+
+
+def windowed_check_jacobi_expanded(f, s, n0, n1, window):
+    """The windowed Jacobi sweep of a truncation the windowed scan calls closed."""
+    closure = windowed_check_closure(f, s, n0, n1, window)
+    if not closure.closed:
+        raise NotClosed(f"truncation ({n0},{n1}) is not closed; "
+                        f"{len(closure.violations)} violations")
+    alg = ExpandedAlgebra.build(f, s, n0, n1, window)
+    rows, checked, skipped = jacobi_sweep(alg.generators, alg.bracket, window.max_abs_mode)
+    residuals = [JacobiResidual(*r) for r in rows]
+    return ExpandedJacobiReport(not residuals, residuals, checked, skipped)
+
+
+def windowed_jacobi_residuals(f, window):
+    rows, checked, _ = jacobi_sweep(enumerate_generators(f, window),
+                                    lambda x, y: loop_bracket(f, x, y),
+                                    window.max_abs_mode)
+    return rows, checked
+
+
+def windowed_contracted_jacobi_residuals(alg):
+    rows, checked, _ = jacobi_sweep(enumerate_generators(alg.base, alg.window), alg.bracket,
+                                    alg.window.max_abs_mode)
+    return rows, checked
+
+
+def windowed_compare_with_expansion(contracted, expanded, window):
+    """Every windowed constant of the contraction against the lifted expansion's."""
+    if (expanded.split.kind is not SplitKind.MODE_PARITY_COSET
+            or (expanded.n0, expanded.n1) != (0, 1)):
+        raise ValueError("comparison target must be the order-(0,1) parity expansion")
+    f = expanded.base
+    split = expanded.split
+    lowest = split.order_rule.lowest
+    labels = enumerate_generators(contracted.base, window)
+    lift = {}
+    for label in labels:
+        sector = split.sector(label)
+        lift[label] = ExpandedLabel(label.gen, label.mode, lowest[sector], sector)
+    diffs = []
+    for x in labels:
+        for y in labels:
+            mode = x.mode + y.mode
+            if not window.contains(mode):
+                continue
+            for c in range(1, contracted.base.dim + 1):
+                z = LoopLabel(c, mode)
+                cv = contracted.constant(x, y, z)
+                ev = expanded_constant(f, split, lift[x], lift[y], lift[z])
+                if cv != ev:
+                    diffs.append(ContractionDiff(x, y, z, cv, ev))
+    return not diffs, diffs
+
+
+def conjugate_label(x):
+    """Hermitian conjugation on labels: T_a^m -> -T_a^{-m}."""
+    return LoopLabel(x.gen, -x.mode), -1
+
+
+def algebra_to_dict(f):
+    """The definition-file form of an algebra, as ``load_algebra`` reads it."""
+    entries = [{"a": a, "b": b, "c": c, "value": format_rational(v)}
+               for (a, b, c), v in sorted(f.entries.items())]
+    return {"name": f.name, "dim": f.dim, "entries": entries}

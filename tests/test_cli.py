@@ -163,14 +163,28 @@ def test_mc_degree_too_low():
                "--degree", "1", "--alpha-max", "2", "--window", "1") == 2
 
 
-@pytest.mark.xfail(strict=True, reason="closure is scanned on the mode window; at -M 0 it "
-                                       "holds no odd mode, so no sector-1 bracket is seen")
 def test_window_zero_does_not_pass_an_unclosed_truncation(tmp_path):
     # At -M 1 the same truncation has 24 closure violations.
     out = tmp_path / "report.json"
     run("expand", *EPS_ARGS, "--split", "mode_parity", "--n0", "0", "--n1", "3",
         "-M", "0", "--out", str(out))
     assert read(out)["closed"] is False
+
+
+@pytest.mark.parametrize("split, n0, n1, witnesses", [
+    ("mode_parity", "0", "3", 24),
+    ("zero_mode", "0", "2", 24),
+])
+def test_defect_outside_the_window_fails_with_no_witnesses(tmp_path, split, n0, n1, witnesses):
+    # The smallest witness modes of either truncation include a nonzero mode,
+    # so at -M 0 the verdict fails with an empty list, and -M 1 lists them.
+    args = ("expand", *EPS_ARGS, "--split", split, "--n0", n0, "--n1", n1)
+    out = tmp_path / "report.json"
+    assert run(*args, "-M", "0", "--out", str(out)) == 1
+    report = read(out)
+    assert (report["closed"], report["closure_violations"], report["jacobi"]) == (False, [], None)
+    assert run(*args, "-M", "1", "--out", str(out)) == 1
+    assert len(read(out)["closure_violations"]) == witnesses
 
 
 def test_sweep_closure_matrix(tmp_path):

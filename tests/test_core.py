@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from loopexp import (ContradictoryEntries, IndexOutOfRange, StructureConstants,
-                     algebra_from_dict, algebra_to_dict, builtin_algebra,
-                     load_algebra, validate)
+                     algebra_from_dict, builtin_algebra, load_algebra, validate)
 from loopexp.algebra import BUILTIN_NAMES, parse_rational
 
-from helpers_oracles import (oracle_jacobi_clean, oracle_jacobi_defects,
+from helpers_oracles import (algebra_to_dict, oracle_jacobi_clean, oracle_jacobi_defects,
                              oracle_jacobi_residual)
 
 EPS = builtin_algebra("epsilon3")

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from loopexp import (LoopLabel, ModeWindow, builtin_algebra, conjugate_label,
-                     enumerate_generators, jacobi_residuals, loop_bracket,
-                     loop_structure_constant)
+from loopexp import (LoopLabel, ModeWindow, builtin_algebra, enumerate_generators,
+                     jacobi_residuals, loop_bracket, loop_structure_constant)
 from loopexp.algebra import IndexOutOfRange
+
+from helpers_oracles import conjugate_label
 
 EPS = builtin_algebra("epsilon3")
 SOLV = builtin_algebra("solvable2")
