@@ -13,12 +13,10 @@ from .expansion import (ClosureCell, ClosureQuotient, ClosureReport, ClosureViol
                         expanded_constant, generator_set)
 from .loop import (LoopLabel, ModeWindow, enumerate_generators, jacobi_residuals,
                    loop_bracket, loop_structure_constant)
-from .mcforms import (CoordMonomial, DegreeTooLow, FormPolynomial,
-                      GradedFormSeries, GradedSeriesResult, InvalidDegree,
-                      McResidualReport, SeriesResult, TwoForm,
-                      canonical_form_series, check_grading, exterior_derivative,
-                      graded_series_json, rescale_and_collect, resummed,
-                      verify_mc_equations, wedge)
+from .mcforms import (DegreeTooLow, FormPolynomial, GradedSeriesResult, InvalidDegree,
+                      McResidualReport, McResidualTerm, SeriesResult,
+                      canonical_form_series, check_grading, graded_series_json,
+                      monomial_json, rescale_and_collect, verify_mc_equations)
 from .splitting import (InvalidParams, SplitCheckReport, SplitKind, Splitting,
                         check_subalgebra, check_symmetric_coset, make_splitting)
 

@@ -196,14 +196,14 @@ def algebra_from_dict(data: Mapping) -> StructureConstants:
     a < b key and rejects contradictory or diagonal nonzero entries.
     """
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     name = data.get("name", "")
     canon: dict[tuple[int, int, int], Fraction] = {}
     for row in data.get("entries", ()):
         a, b, c = row["a"], row["b"], row["c"]
         for idx in (a, b, c):
-            if not isinstance(idx, int) or not 1 <= idx <= dim:
+            if type(idx) is not int or not 1 <= idx <= dim:
                 raise IndexOutOfRange(f"generator index {idx!r} not in 1..{dim}")
         value = parse_rational(row["value"])
         if a == b:

@@ -23,7 +23,8 @@ from .expansion import (NAMED_CASES, ClosureQuotient, ExpandedAlgebra, ExpandedL
 from .jsonout import json_chunks
 from .loop import ModeWindow
 from .mcforms import (DegreeTooLow, canonical_form_series, check_grading,
-                      graded_series_json, rescale_and_collect, verify_mc_equations)
+                      graded_series_json, monomial_json, rescale_and_collect,
+                      verify_mc_equations)
 from .splitting import (InvalidParams, SplitKind, Splitting, make_splitting,
                         split_from_dict, split_to_dict)
 
@@ -51,12 +52,17 @@ class RunConfig:
 
 
 def _parse_v0(text) -> tuple[int, ...]:
-    try:
-        if isinstance(text, (list, tuple)):
-            return tuple(int(x) for x in text)
-        return tuple(int(piece) for piece in str(text).split(",") if piece.strip())
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"cannot parse v0 generator list {text!r}") from exc
+    """Generator indices; a bool or a non-integral number is refused, not rounded."""
+    if isinstance(text, str):
+        try:
+            return tuple(int(piece) for piece in text.split(",") if piece.strip())
+        except ValueError:
+            pass
+    else:
+        values = tuple(text) if isinstance(text, (list, tuple)) else (text,)
+        if all(type(x) is int for x in values):
+            return values
+    raise UsageError(f"cannot parse v0 generator list {text!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -326,8 +332,8 @@ def cmd_mc(config: RunConfig) -> int:
         "degree_censored": residuals.degree_censored,
         "residual_violations": [
             {"label": [t.label.gen, t.label.mode], "power": t.power,
-             "monomial": t.monomial.json_factors(),
-             "differentials": [[d.gen, d.mode] for d in t.diffs],
+             "monomial": monomial_json(t.monomial),
+             "differentials": [[gen, mode] for mode, gen in t.diffs],
              "value": format_rational(t.value)}
             for t in residuals.violations],
         "grading_ok": grading.ok,

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .algebra import StructureConstants
 from .loop import LoopLabel, ModeWindow, class_jacobi_sweep
-from .splitting import SplitKind, Splitting, make_splitting, pair_modes
+from .splitting import SplitKind, Splitting, make_splitting, pair_modes, sector_patterns
 
 
 class InadmissibleLabel(ValueError):
@@ -156,14 +156,8 @@ class ClosureQuotient:
             for l in window.modes() for n in window.modes() if window.contains(l - n))
         # (sector z, sector x, sector y) -> windowed mode pairs times entries.
         self.patterns: Counter = Counter()
-        for pair in s.representatives.pairs:
-            l, n, m = pair_modes(pair)
-            weight = in_window[tuple(map(s.mode_class, (l, n, m)))]
-            for c in range(1, f.dim + 1):
-                target = s.sector(LoopLabel(c, l))
-                for a, b, _ in f.pairs_into(c):
-                    key = (target, s.sector(LoopLabel(a, n)), s.sector(LoopLabel(b, m)))
-                    self.patterns[key] += weight
+        for (classes, pattern), entries in sector_patterns(f, s).items():
+            self.patterns[pattern] += in_window[classes] * entries
         # Per target sector: windowed source pairs times their outside partner modes.
         self.censorable = [0, 0]
         for l in window.modes():

@@ -13,6 +13,15 @@ one-forms must satisfy the order-by-order structure equations
 
 with n+m = l.  All of this is desk-scale exact arithmetic on sparse terms.
 
+One term store carries the series from its build to the report.  A term is
+keyed by ``(monomial, differential)``: the differential is a ``(mode, gen)``
+factor and the monomial a sorted tuple of such factors, so the natural tuple
+order is the canonical label order (mode-major, then generator).  Its value is
+an integer numerator over the series' denominator for the monomial's degree k,
+``F**k (k+1)!``, with F the lcm of the structure-constant denominators.  A
+``Fraction`` is made only for an emitted coefficient and for a nonzero
+residual.
+
 Mode-window censoring: a term is trustworthy only if every partial mode sum of
 its factors stays inside the window (the recursion would otherwise have dropped
 some of its build paths, and the pair sum would miss out-of-window sources).
@@ -33,9 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from itertools import groupby
 from math import factorial, lcm
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .algebra import StructureConstants, format_rational
 from .loop import LoopLabel, ModeWindow, enumerate_generators, label_key
@@ -50,172 +59,46 @@ class DegreeTooLow(ValueError):
     """The series was not computed deep enough for the requested order."""
 
 
-@dataclass(frozen=True)
-class CoordMonomial:
-    """Commutative product of group coordinates, stored as a sorted label tuple."""
-
-    labels: tuple[LoopLabel, ...] = ()
-
-    @classmethod
-    def unit(cls) -> "CoordMonomial":
-        return cls(())
-
-    @classmethod
-    def of(cls, labels: Iterable[LoopLabel]) -> "CoordMonomial":
-        return cls(tuple(sorted(labels, key=label_key)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.labels)
-
-    def without_one(self, label: LoopLabel) -> "CoordMonomial":
-        labels = list(self.labels)
-        labels.remove(label)
-        return CoordMonomial(tuple(labels))
-
-    # A series shares one monomial among its terms, so these two are built once.
-    @cached_property
-    def _counts(self) -> tuple[tuple[LoopLabel, int], ...]:
-        out: list[tuple[LoopLabel, int]] = []
-        for label in self.labels:
-            if out and out[-1][0] == label:
-                out[-1] = (label, out[-1][1] + 1)
-            else:
-                out.append((label, 1))
-        return tuple(out)
-
-    @cached_property
-    def sort_key(self) -> tuple[tuple[int, int], ...]:
-        """The factors' label keys, in canonical monomial order."""
-        return tuple(label_key(label) for label in self.labels)
-
-    def counts(self) -> list[tuple[LoopLabel, int]]:
-        return list(self._counts)
-
-    def sector_count(self, s: Splitting) -> int:
-        return sum(1 for label in self.labels if s.sector(label) == 1)
-
-    def json_factors(self) -> list[list[int]]:
-        return [[label.gen, label.mode, mult] for label, mult in self._counts]
+Factor = tuple[int, int]  # (mode, gen) of a coordinate or a differential
+Monomial = tuple[Factor, ...]
+Term = tuple[Monomial, Factor]
 
 
-TermKey = tuple[CoordMonomial, LoopLabel]
-PairKey = tuple[CoordMonomial, tuple[LoopLabel, LoopLabel]]
+def monomial_json(mon: Monomial) -> list[list[int]]:
+    """``[gen, mode, multiplicity]`` per distinct factor, in monomial order."""
+    return [[gen, mode, len(list(run))] for (mode, gen), run in groupby(mon)]
 
 
-def _add(acc: dict, key, value: Fraction) -> None:
-    total = acc.get(key, Fraction(0)) + value
-    if total:
-        acc[key] = total
-    elif key in acc:
-        del acc[key]
+def _sector_counts(s: Splitting) -> Callable[[tuple[Factor, ...]], int]:
+    """The number of sector-1 factors of a factor tuple, memoised per tuple,
+    since a series shares each monomial among several terms."""
+    counts: dict[tuple[Factor, ...], int] = {}
+
+    def count(factors: tuple[Factor, ...]) -> int:
+        value = counts.get(factors)
+        if value is None:
+            value = counts[factors] = sum(s.sector(LoopLabel(gen, mode)) for mode, gen in factors)
+        return value
+
+    return count
 
 
 @dataclass(frozen=True)
 class FormPolynomial:
-    """One-form: sparse sum of coefficient * monomial * dg_{b,m}."""
+    """One-form: the integer numerators of its terms, keyed by (monomial, differential)."""
 
-    terms: Mapping[TermKey, Fraction] = field(default_factory=dict)
-
-    @classmethod
-    def zero(cls) -> "FormPolynomial":
-        return cls({})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mon: CoordMonomial, diff: LoopLabel) -> Fraction:
-        return self.terms.get((mon, diff), Fraction(0))
-
-    def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][0].sort_key, kv[0][1].mode, kv[0][1].gen))
-
-    def __add__(self, other: "FormPolynomial") -> "FormPolynomial":
-        acc = dict(self.terms)
-        for key, value in other.terms.items():
-            _add(acc, key, value)
-        return FormPolynomial(acc)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FormPolynomial) and dict(self.terms) == dict(other.terms)
-
-
-@dataclass(frozen=True)
-class TwoForm:
-    """Two-form with wedge antisymmetry folded into a canonically ordered pair."""
-
-    terms: Mapping[PairKey, Fraction] = field(default_factory=dict)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mon: CoordMonomial, d1: LoopLabel, d2: LoopLabel) -> Fraction:
-        pair, sign = _wedge_pair(d1, d2)
-        if pair is None:
-            return Fraction(0)
-        return sign * self.terms.get((mon, pair), Fraction(0))
-
-    def sorted_terms(self) -> list[tuple[PairKey, Fraction]]:
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][0].sort_key,
-                                      label_key(kv[0][1][0]), label_key(kv[0][1][1])))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TwoForm) and dict(self.terms) == dict(other.terms)
-
-
-def _wedge_pair(d1: LoopLabel, d2: LoopLabel) -> tuple[tuple[LoopLabel, LoopLabel] | None, int]:
-    k1, k2 = label_key(d1), label_key(d2)
-    if k1 == k2:
-        return None, 0
-    if k1 < k2:
-        return (d1, d2), 1
-    return (d2, d1), -1
-
-
-def exterior_derivative(p: FormPolynomial) -> TwoForm:
-    """Leibniz rule over the coordinate factors; d of the differential is zero."""
-    acc: dict[PairKey, Fraction] = {}
-    for (mon, diff), coef in p.terms.items():
-        for label, mult in mon.counts():
-            pair, sign = _wedge_pair(label, diff)
-            if pair is None:
-                continue
-            _add(acc, (mon.without_one(label), pair), coef * mult * sign)
-    return TwoForm(acc)
-
-
-def wedge(p: FormPolynomial, q: FormPolynomial) -> TwoForm:
-    acc: dict[PairKey, Fraction] = {}
-    for (mon1, d1), c1 in p.terms.items():
-        for (mon2, d2), c2 in q.terms.items():
-            pair, sign = _wedge_pair(d1, d2)
-            if pair is not None:
-                _add(acc, (CoordMonomial.of(mon1.labels + mon2.labels), pair), c1 * c2 * sign)
-    return TwoForm(acc)
-
-
-@dataclass(frozen=True)
-class GradedFormSeries:
-    """One-form graded by the rescaling power."""
-
-    by_power: Mapping[int, FormPolynomial] = field(default_factory=dict)
-
-    def bucket(self, power: int) -> FormPolynomial:
-        return self.by_power.get(power, FormPolynomial.zero())
-
-    def powers(self) -> list[int]:
-        return sorted(self.by_power)
+    terms: dict[Term, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Canonical-form components, complete through coordinate degree D-1."""
+    """Canonical-form components, complete through coordinate degree D-1.
+
+    ``denominators[k]`` is the denominator of every degree-k numerator.
+    """
 
     forms: dict[LoopLabel, FormPolynomial]
+    denominators: tuple[int, ...]
     degree: int
     window: ModeWindow
     censored: int
@@ -223,7 +106,10 @@ class SeriesResult:
 
 @dataclass(frozen=True)
 class GradedSeriesResult:
-    by_label: dict[LoopLabel, GradedFormSeries]
+    """The series' terms bucketed per label by rescaling power."""
+
+    by_label: dict[LoopLabel, dict[int, FormPolynomial]]
+    denominators: tuple[int, ...]
     degree: int
     window: ModeWindow
     split: Splitting
@@ -243,19 +129,17 @@ def canonical_form_series(f: StructureConstants, window: ModeWindow, degree: int
     bound = window.max_abs_mode
     gens = range(1, f.dim + 1)
     rows = {(a, b): f.pair_targets(a, b) for a in gens for b in gens}
-    # A step-k numerator is an integer over scale**k; monomials are sorted
-    # (mode, gen) tuples, whose natural order is label_key order.
+    # A step-k numerator is an integer over scale**k; the (k+1)! of the
+    # prefactor joins it in the denominator.
     scale = lcm(*(v.denominator for row in rows.values() for _, v in row))
     int_rows = {pair: [(c, v.numerator * (scale // v.denominator)) for c, v in row]
                 for pair, row in rows.items() if row}
 
-    out: dict[LoopLabel, dict[TermKey, Fraction]] = {
-        lab: {(CoordMonomial.unit(), lab): Fraction(1)} for lab in coords}
-    current: dict[LoopLabel, dict[tuple, int]] = {lab: {((), lab): 1} for lab in coords}
-    monomials: dict[tuple, CoordMonomial] = {}
+    out = {lab: {((), (lab.mode, lab.gen)): 1} for lab in coords}
+    current = {lab: dict(terms) for lab, terms in out.items()}
     censored = 0
-    for k in range(1, degree):
-        nxt: dict[LoopLabel, dict[tuple, int]] = {}
+    for _ in range(1, degree):
+        nxt: dict[LoopLabel, dict[Term, int]] = {}
         for source, terms in current.items():
             for coord in coords:
                 row = int_rows.get((source.gen, coord.gen))
@@ -271,54 +155,40 @@ def canonical_form_series(f: StructureConstants, window: ModeWindow, degree: int
                     key = (tuple(sorted(mon + factor)), diff)
                     for acc, v in accs:
                         acc[key] = acc.get(key, 0) + num * v
-        # A key of degree k arises only at step k, so each output term gets
-        # exactly one Fraction, with the nested-bracket prefactor 1/(k+1)!.
-        den = scale ** k * factorial(k + 1)
+        # A key of degree k arises only at step k, so no two steps share one.
         current = {}
         for label, terms in nxt.items():
             current[label] = terms = {key: num for key, num in terms.items() if num}
-            bucket = out[label]
-            for (mon, diff), num in terms.items():
-                monomial = monomials.get(mon)
-                if monomial is None:
-                    monomial = monomials[mon] = CoordMonomial(
-                        tuple(LoopLabel(gen, mode) for mode, gen in mon))
-                bucket[monomial, diff] = Fraction(num, den)
+            out[label].update(terms)
         if not current:
             break
 
+    denominators = tuple(scale ** k * factorial(k + 1) for k in range(degree))
     forms = {lab: FormPolynomial(terms) for lab, terms in out.items()}
-    return SeriesResult(forms, degree, window, censored)
+    return SeriesResult(forms, denominators, degree, window, censored)
 
 
 def rescale_and_collect(series: SeriesResult, s: Splitting) -> GradedSeriesResult:
     """Grade each term by its number of sector-1 factors (coordinates plus the
     differential) and bucket by total power."""
-    graded: dict[LoopLabel, GradedFormSeries] = {}
+    count = _sector_counts(s)
+    graded: dict[LoopLabel, dict[int, FormPolynomial]] = {}
     for label, poly in series.forms.items():
-        buckets: dict[int, dict[TermKey, Fraction]] = {}
-        for (mon, diff), coef in poly.terms.items():
-            power = mon.sector_count(s) + s.sector(diff)
-            buckets.setdefault(power, {})[(mon, diff)] = coef
-        graded[label] = GradedFormSeries({p: FormPolynomial(t)
-                                          for p, t in sorted(buckets.items())})
-    return GradedSeriesResult(graded, series.degree, series.window, s, series.censored)
+        buckets: dict[int, dict[Term, int]] = {}
+        for key, num in poly.terms.items():
+            mon, diff = key
+            buckets.setdefault(count(mon) + count((diff,)), {})[key] = num
+        graded[label] = {p: FormPolynomial(t) for p, t in sorted(buckets.items())}
+    return GradedSeriesResult(graded, series.denominators, series.degree, series.window, s,
+                              series.censored)
 
 
-def resummed(graded: GradedSeriesResult, label: LoopLabel) -> FormPolynomial:
-    """Sum of all buckets; equals the unrescaled component exactly."""
-    total = FormPolynomial.zero()
-    for power in graded.by_label[label].powers():
-        total = total + graded.by_label[label].bucket(power)
-    return total
-
-
-def _shifts_in_window(modes: Iterable[int], shifts: Iterable[int], bound: int) -> bool:
-    """Whether every shift plus every sub-multiset sum of ``modes`` lies within
-    ``bound``.  The extreme sums are those of the negative and of the positive
-    modes, and every other sum lies between them."""
+def _shifts_in_window(mon: Monomial, shifts: Iterable[int], bound: int) -> bool:
+    """Whether every shift plus every sub-multiset sum of the factors' modes
+    lies within ``bound``.  The extreme sums are those of the negative and of
+    the positive modes, and every other sum lies between them."""
     low = high = 0
-    for mode in modes:
+    for mode, _ in mon:
         if mode < 0:
             low += mode
         else:
@@ -326,31 +196,29 @@ def _shifts_in_window(modes: Iterable[int], shifts: Iterable[int], bound: int) -
     return all(-bound <= t + low and t + high <= bound for t in shifts)
 
 
-def term_mode_safe(mon: CoordMonomial, diff: LoopLabel, window: ModeWindow) -> bool:
+def term_mode_safe(mon: Monomial, diff: Factor, window: ModeWindow) -> bool:
     """Whether a one-form term's coefficient is untouched by window censoring:
     the differential's mode plus every sub-multiset sum of the factors' modes
     is windowed."""
-    return _shifts_in_window([x.mode for x in mon.labels], (diff.mode,), window.max_abs_mode)
+    return _shifts_in_window(mon, (diff[0],), window.max_abs_mode)
 
 
-def residual_term_safe(mon: CoordMonomial, diffs: tuple[LoopLabel, LoopLabel],
-                       window: ModeWindow) -> bool:
+def residual_term_safe(mon: Monomial, diffs: tuple[Factor, Factor], window: ModeWindow) -> bool:
     """Whether a residual two-form term is exactly computable from windowed data.
 
     Every sub-multiset of the factors that contains at least one of the two
     differentials must have a windowed mode sum: those sums are exactly the
     intermediate modes of the build paths and the split modes of the pair sum.
     """
-    d1, d2 = diffs
-    return _shifts_in_window([x.mode for x in mon.labels],
-                             (d1.mode, d2.mode, d1.mode + d2.mode), window.max_abs_mode)
+    (n1, _), (n2, _) = diffs
+    return _shifts_in_window(mon, (n1, n2, n1 + n2), window.max_abs_mode)
 
 
 class McResidualTerm(NamedTuple):
     label: LoopLabel
     power: int
-    monomial: CoordMonomial
-    diffs: tuple[LoopLabel, LoopLabel]
+    monomial: Monomial
+    diffs: tuple[Factor, Factor]
     value: Fraction
 
 
@@ -387,7 +255,7 @@ def verify_mc_equations(graded: GradedSeriesResult, f: StructureConstants, s: Sp
     term are dropped first: powers above ``alpha_max``, degrees above D-1, and
     terms failing :func:`term_mode_safe`, whose unsafe sub-multiset sum
     survives in every product and derivative.  Coefficients are integers over
-    one denominator Q L^2: L clears the kept series coefficients, Q the folded
+    one denominator Q L^2: L clears the series denominators, Q the folded
     constants.
 
     Residual terms of degree above D-2 are incomplete on the derivative side
@@ -399,19 +267,18 @@ def verify_mc_equations(graded: GradedSeriesResult, f: StructureConstants, s: Sp
         raise DegreeTooLow(f"degree {degree} cannot support order {alpha_max}; "
                            f"need degree >= {alpha_max + 1}")
     bound = window.max_abs_mode
-    kept_terms = [(label, power, mon, diff, coef)
-                  for label, series in graded.by_label.items()
-                  for power, poly in series.by_power.items() if power <= alpha_max
-                  for (mon, diff), coef in poly.terms.items()
-                  if mon.degree < degree and term_mode_safe(mon, diff, window)]
-    series_den = lcm(*(coef.denominator for *_, coef in kept_terms))
-    # Per label, integer terms grouped by (degree, power).  Labels become
-    # (mode, gen) tuples, whose natural order is label_key order.
-    kept: dict[LoopLabel, dict[tuple[int, int], list]] = {label: {} for label in graded.by_label}
-    for label, power, mon, diff, coef in kept_terms:
-        kept[label].setdefault((mon.degree, power), []).append(
-            (tuple((x.mode, x.gen) for x in mon.labels), (diff.mode, diff.gen),
-             coef.numerator * (series_den // coef.denominator)))
+    series_den = lcm(*graded.denominators)
+    lift = [series_den // den for den in graded.denominators]
+    # Per label, the kept terms grouped by (degree, power).
+    kept: dict[LoopLabel, dict[tuple[int, int], list]] = {}
+    for label, buckets in graded.by_label.items():
+        groups = kept[label] = {}
+        for power, poly in buckets.items():
+            if power <= alpha_max:
+                for (mon, diff), num in poly.terms.items():
+                    k = len(mon)
+                    if k < degree and term_mode_safe(mon, diff, window):
+                        groups.setdefault((k, power), []).append((mon, diff, num * lift[k]))
     folded = {c: _folded_pairs(f, c) for c in range(1, f.dim + 1)}
     const_den = lcm(*(v.denominator for pairs in folded.values() for *_, v in pairs))
 
@@ -454,15 +321,12 @@ def verify_mc_equations(graded: GradedSeriesResult, f: StructureConstants, s: Sp
         for power, acc in enumerate(accs):
             report.targets_checked += 1
             safe = [(key, value) for key, value in acc.items()
-                    if _shifts_in_window([mode for mode, _ in key[0]],
-                                         (key[1][0], key[2][0], key[1][0] + key[2][0]), bound)]
+                    if residual_term_safe(key[0], key[1:], window)]
             report.terms_checked += len(safe)
             report.mode_censored += len(acc) - len(safe)
             for (mon, d1, d2), value in sorted(row for row in safe if row[1]):
                 report.violations.append(McResidualTerm(
-                    target, power, CoordMonomial(tuple(LoopLabel(g, n) for n, g in mon)),
-                    (LoopLabel(d1[1], d1[0]), LoopLabel(d2[1], d2[0])),
-                    Fraction(value, const_den * series_den ** 2)))
+                    target, power, mon, (d1, d2), Fraction(value, const_den * series_den ** 2)))
     report.ok = not report.violations
     return report
 
@@ -482,18 +346,19 @@ def check_grading(graded: GradedSeriesResult, s: Splitting) -> GradingReport:
     power 1, so the rule does not apply to it.
     """
     report = GradingReport(ok=True)
-    for label, series in graded.by_label.items():
-        for power in series.powers():
-            poly = series.bucket(power)
-            if poly.is_zero:
+    count = _sector_counts(s)
+    for label, buckets in graded.by_label.items():
+        for power, poly in sorted(buckets.items()):
+            if not poly.terms:
                 continue
             if not s.exists(label, power):
                 report.violations.append((label, power, "power is not an existing order"))
             if power == 0 and s.sector(label) == 0:
-                if poly.coefficient(CoordMonomial.unit(), label) != 1:
+                # A numerator equal to its denominator is the coefficient 1.
+                if poly.terms.get(((), (label.mode, label.gen))) != graded.denominators[0]:
                     report.violations.append((label, power, "missing unit differential term"))
                 for (mon, diff) in poly.terms:
-                    if s.sector(diff) or mon.sector_count(s):
+                    if count(mon) or count((diff,)):
                         report.violations.append((label, power, "power-0 term with a sector-1 factor"))
                         break
     report.ok = not report.violations
@@ -501,16 +366,21 @@ def check_grading(graded: GradedSeriesResult, s: Splitting) -> GradingReport:
 
 
 def graded_series_json(graded: GradedSeriesResult) -> list[dict]:
-    """Canonical dump: per label, buckets of {power, terms} rows."""
+    """Canonical dump: per label, buckets of {power, terms} rows.  The terms
+    of one monomial share its factor list."""
+    factors: dict[Monomial, list[list[int]]] = {}
+    denominators = graded.denominators
     rows = []
     for label in sorted(graded.by_label, key=label_key):
-        series = graded.by_label[label]
         buckets = []
-        for power in series.powers():
-            terms = [{"monomial": mon.json_factors(),
-                      "differential": [diff.gen, diff.mode],
-                      "coef": format_rational(coef)}
-                     for (mon, diff), coef in series.bucket(power).sorted_terms()]
+        for power, poly in sorted(graded.by_label[label].items()):
+            terms = []
+            for (mon, (mode, gen)), num in sorted(poly.terms.items()):
+                mon_json = factors.get(mon)
+                if mon_json is None:
+                    mon_json = factors[mon] = monomial_json(mon)
+                terms.append({"monomial": mon_json, "differential": [gen, mode],
+                              "coef": format_rational(Fraction(num, denominators[len(mon)]))})
             if terms:
                 buckets.append({"power": power, "terms": terms})
         rows.append({"label": [label.gen, label.mode], "series": buckets})

@@ -9,12 +9,14 @@ class: its parity on the coset, zero or nonzero on the zero-mode split, one
 class on the generic split.  A label's sector, and so the existence and
 retention of every expanded structure constant, depends on a mode only
 through its class.  :class:`ModeClasses` therefore lists representative modes
-for every class pattern that mode addition realizes, and closure and Jacobi
-are decided for all modes from those representatives.
+for every class pattern that mode addition realizes, and closure, Jacobi and
+the subalgebra and symmetric-coset conditions are decided for all modes from
+those representatives.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -167,6 +169,22 @@ def make_splitting(kind: SplitKind, *, v0_gens=None, dim: int | None = None) -> 
     return Splitting(kind)
 
 
+def sector_patterns(f: StructureConstants, s: Splitting) -> Counter:
+    """``(classes of (l, n, l - n), sectors of (c, l), (a, n), (b, l - n)) ->
+    entries`` for each nonzero f_ab^c at each representative pair (l, n).  A
+    sector pattern is realized at some modes iff it is a key here."""
+    patterns: Counter = Counter()
+    gens = range(1, f.dim + 1)
+    for pair in s.representatives.pairs:
+        modes = pair_modes(pair)
+        classes = tuple(map(s.mode_class, modes))
+        z, x, y = ({a: s.sector(LoopLabel(a, mode)) for a in gens} for mode in modes)
+        for c in gens:
+            for a, b, _ in f.pairs_into(c):
+                patterns[classes, (z[c], x[a], y[b])] += 1
+    return patterns
+
+
 class SectorWitness(NamedTuple):
     """A structure-constant tuple violating a sector condition; the stored
     value re-verifies against loop_structure_constant."""
@@ -210,18 +228,26 @@ def _sector_scan(f: StructureConstants, s: Splitting, window: ModeWindow,
 
 
 def check_subalgebra(f: StructureConstants, s: Splitting, window: ModeWindow) -> SplitCheckReport:
-    """Does every windowed bracket of two sector-0 labels land in sector 0?"""
+    """Does every bracket of two sector-0 labels, at every mode, land in sector 0?
+
+    The verdict comes from :func:`sector_patterns`; the witnesses are the
+    windowed brackets that break it, so a defect with no windowed instance
+    gives ``False`` and no witnesses.
+    """
     labels = [lab for lab in enumerate_generators(f, window) if s.sector(lab) == 0]
     witnesses, censored = _sector_scan(f, s, window, labels, lambda x, y: 0)
-    return SplitCheckReport(is_subalgebra_v0=not witnesses, subalgebra_witnesses=witnesses,
+    ok = all(z == 0 for _, (z, x, y) in sector_patterns(f, s) if x == y == 0)
+    return SplitCheckReport(is_subalgebra_v0=ok, subalgebra_witnesses=witnesses,
                             window_censored=censored)
 
 
 def check_symmetric_coset(f: StructureConstants, s: Splitting, window: ModeWindow) -> SplitCheckReport:
-    """Do the constants vanish whenever the target sector breaks the mod-2 sum rule?"""
+    """Do the constants vanish, at every mode, whenever the target sector breaks
+    the mod-2 sum rule?  Verdict and witnesses as in :func:`check_subalgebra`."""
     witnesses, censored = _sector_scan(f, s, window, enumerate_generators(f, window),
                                        lambda x, y: (s.sector(x) + s.sector(y)) % 2)
-    return SplitCheckReport(is_symmetric_coset=not witnesses, coset_witnesses=witnesses,
+    ok = all(z == (x + y) % 2 for _, (z, x, y) in sector_patterns(f, s))
+    return SplitCheckReport(is_symmetric_coset=ok, coset_witnesses=witnesses,
                             window_censored=censored)
 
 

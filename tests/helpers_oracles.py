@@ -6,15 +6,24 @@ both sides of a comparison.  The two splitting oracles after them are the
 per-kind branches that the order table of ``loopexp.splitting`` replaced, and
 the MC residual oracle is the per-order, per-``beta`` residual check that the
 single pruned integer pass of ``loopexp.mcforms`` replaced.  The series oracle
-at the end is the ``Fraction`` build of the canonical-form series that the
-integer build replaced.  The ``windowed_*`` oracles are the closure scan,
-Jacobi sweeps and contraction comparison that decided their verdicts on the
-mode window alone, before the mode-class quotient; last come two helpers that
+is the ``Fraction`` build of the canonical-form series that the integer
+build replaced.  With it comes the ``Fraction`` form algebra the ``mc`` path
+carried before its single integer term store: ``CoordMonomial``,
+``FractionForm``, ``TwoForm``, ``wedge``, ``exterior_derivative``, the
+graded buckets and ``resummed``.  Tests read the store through one adapter,
+:func:`as_fractions`, which turns a store one-form into
+``{(CoordMonomial, LoopLabel): Fraction}``.  The ``windowed_*`` oracles are the closure scan,
+Jacobi sweeps, contraction comparison and subalgebra and symmetric-coset
+checks that decided their verdicts on the mode window alone, before the
+mode-class quotient; last come two helpers that
 only tests use.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
+from typing import Mapping
 
 from loopexp import LoopLabel, SplitKind
 from loopexp.algebra import format_rational
@@ -23,9 +32,8 @@ from loopexp.expansion import (ClosureReport, ClosureViolation, ExpandedAlgebra,
                                ExpandedJacobiReport, ExpandedLabel, JacobiResidual,
                                NotClosed, expanded_constant, generator_set, make_label)
 from loopexp.loop import enumerate_generators, jacobi_sweep, label_key, loop_bracket
-from loopexp.mcforms import (CoordMonomial, DegreeTooLow, FormPolynomial,
-                             InvalidDegree, McResidualReport, McResidualTerm,
-                             SeriesResult, exterior_derivative)
+from loopexp.mcforms import DegreeTooLow, InvalidDegree, McResidualReport, McResidualTerm
+from loopexp.splitting import SplitCheckReport, _sector_scan
 
 
 def dense_tensor(dim: int, raw_entries: dict) -> list:
@@ -115,14 +123,255 @@ def structurally_exists(s, mode: int, order: int) -> bool:
     return True
 
 
+# -- the Fraction form algebra of the mc path, and the adapter from the store --
+
+@dataclass(frozen=True)
+class CoordMonomial:
+    """Commutative product of group coordinates, stored as a sorted label tuple."""
+
+    labels: tuple = ()
+
+    @classmethod
+    def unit(cls):
+        return cls(())
+
+    @classmethod
+    def of(cls, labels):
+        return cls(tuple(sorted(labels, key=label_key)))
+
+    @property
+    def degree(self):
+        return len(self.labels)
+
+    def without_one(self, label):
+        labels = list(self.labels)
+        labels.remove(label)
+        return CoordMonomial(tuple(labels))
+
+    @cached_property
+    def sort_key(self):
+        """The factors' label keys, in canonical monomial order."""
+        return tuple(label_key(label) for label in self.labels)
+
+    def counts(self):
+        out = []
+        for label in self.labels:
+            if out and out[-1][0] == label:
+                out[-1] = (label, out[-1][1] + 1)
+            else:
+                out.append((label, 1))
+        return out
+
+    def sector_count(self, s):
+        return sum(1 for label in self.labels if s.sector(label) == 1)
+
+
+def _add(acc, key, value):
+    total = acc.get(key, Fraction(0)) + value
+    if total:
+        acc[key] = total
+    elif key in acc:
+        del acc[key]
+
+
+@dataclass(frozen=True)
+class FractionForm:
+    """One-form: sparse sum of coefficient * monomial * dg_{b,m}."""
+
+    terms: Mapping = field(default_factory=dict)
+
+    @classmethod
+    def zero(cls):
+        return cls({})
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def coefficient(self, mon, diff):
+        return self.terms.get((mon, diff), Fraction(0))
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(),
+                      key=lambda kv: (kv[0][0].sort_key, label_key(kv[0][1])))
+
+    def __add__(self, other):
+        acc = dict(self.terms)
+        for key, value in other.terms.items():
+            _add(acc, key, value)
+        return FractionForm(acc)
+
+    def __eq__(self, other):
+        return isinstance(other, FractionForm) and dict(self.terms) == dict(other.terms)
+
+
+@dataclass(frozen=True)
+class TwoForm:
+    """Two-form with wedge antisymmetry folded into a canonically ordered pair."""
+
+    terms: Mapping = field(default_factory=dict)
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def coefficient(self, mon, d1, d2):
+        pair, sign = _wedge_pair(d1, d2)
+        if pair is None:
+            return Fraction(0)
+        return sign * self.terms.get((mon, pair), Fraction(0))
+
+
+def _wedge_pair(d1, d2):
+    k1, k2 = label_key(d1), label_key(d2)
+    if k1 == k2:
+        return None, 0
+    if k1 < k2:
+        return (d1, d2), 1
+    return (d2, d1), -1
+
+
+def exterior_derivative(p):
+    """Leibniz rule over the coordinate factors; d of the differential is zero."""
+    acc = {}
+    for (mon, diff), coef in p.terms.items():
+        for label, mult in mon.counts():
+            pair, sign = _wedge_pair(label, diff)
+            if pair is None:
+                continue
+            _add(acc, (mon.without_one(label), pair), coef * mult * sign)
+    return TwoForm(acc)
+
+
+def wedge(p, q):
+    acc = {}
+    for (mon1, d1), c1 in p.terms.items():
+        for (mon2, d2), c2 in q.terms.items():
+            pair, sign = _wedge_pair(d1, d2)
+            if pair is not None:
+                _add(acc, (CoordMonomial.of(mon1.labels + mon2.labels), pair), c1 * c2 * sign)
+    return TwoForm(acc)
+
+
+@dataclass(frozen=True)
+class GradedFormSeries:
+    """One-form graded by the rescaling power."""
+
+    by_power: Mapping = field(default_factory=dict)
+
+    def bucket(self, power):
+        return self.by_power.get(power, FractionForm.zero())
+
+    def powers(self):
+        return sorted(self.by_power)
+
+
+@dataclass(frozen=True)
+class FractionSeries:
+    forms: dict
+    degree: int
+    window: object
+    censored: int
+
+
+@dataclass(frozen=True)
+class FractionGraded:
+    by_label: dict
+    degree: int
+    window: object
+    split: object
+    censored: int
+
+
+def legacy_rescale_and_collect(series, s):
+    """Grade each Fraction term by its sector-1 factors, one sector call per factor."""
+    graded = {}
+    for label, poly in series.forms.items():
+        buckets = {}
+        for (mon, diff), coef in poly.terms.items():
+            power = mon.sector_count(s) + s.sector(diff)
+            buckets.setdefault(power, {})[(mon, diff)] = coef
+        graded[label] = GradedFormSeries({p: FractionForm(t)
+                                          for p, t in sorted(buckets.items())})
+    return FractionGraded(graded, series.degree, series.window, s, series.censored)
+
+
+def resummed(graded, label):
+    """Sum of all buckets; equals the unrescaled component exactly."""
+    total = FractionForm.zero()
+    for power in graded.by_label[label].powers():
+        total = total + graded.by_label[label].bucket(power)
+    return total
+
+
+def legacy_graded_series_json(graded):
+    """The canonical dump built per term from the Fraction buckets."""
+    rows = []
+    for label in sorted(graded.by_label, key=label_key):
+        series = graded.by_label[label]
+        buckets = []
+        for power in series.powers():
+            terms = [{"monomial": [[x.gen, x.mode, mult] for x, mult in mon.counts()],
+                      "differential": [diff.gen, diff.mode],
+                      "coef": format_rational(coef)}
+                     for (mon, diff), coef in series.bucket(power).sorted_terms()]
+            if terms:
+                buckets.append({"power": power, "terms": terms})
+        rows.append({"label": [label.gen, label.mode], "series": buckets})
+    return rows
+
+
+def _label(factor):
+    mode, gen = factor
+    return LoopLabel(gen, mode)
+
+
+def _monomial(mon):
+    return CoordMonomial(tuple(map(_label, mon)))
+
+
+def as_fractions(poly, denominators):
+    """The adapter: a store one-form as ``{(CoordMonomial, LoopLabel): Fraction}``."""
+    return {(_monomial(mon), _label(diff)): Fraction(num, denominators[len(mon)])
+            for (mon, diff), num in poly.terms.items()}
+
+
+def fraction_forms(series):
+    """Each component of a store series through :func:`as_fractions`."""
+    return {label: FractionForm(as_fractions(poly, series.denominators))
+            for label, poly in series.forms.items()}
+
+
+def fraction_graded(graded):
+    """A store's graded series as Fraction buckets, through :func:`as_fractions`."""
+    by_label = {label: GradedFormSeries({power: FractionForm(as_fractions(poly,
+                                                                          graded.denominators))
+                                         for power, poly in buckets.items()})
+                for label, buckets in graded.by_label.items()}
+    return FractionGraded(by_label, graded.degree, graded.window, graded.split, graded.censored)
+
+
+def fraction_residual(term):
+    """A store residual term with a ``CoordMonomial`` and label differentials."""
+    return term._replace(monomial=_monomial(term.monomial),
+                         diffs=tuple(map(_label, term.diffs)))
+
+
+def store_monomial(mon):
+    """A ``CoordMonomial`` as the store's sorted ``(mode, gen)`` tuple."""
+    return tuple(label_key(label) for label in mon.labels)
+
+
 def kind_branch_grading(graded, s) -> list:
-    """Kind-specific grading facts about the buckets, as (label, power, reason).
+    """Kind-specific grading facts about a store's buckets, read through the
+    adapter, as (label, power, reason).
 
     Parity coset: every nonempty bucket power matches the mode parity.
     Zero-mode: nonzero-mode components have no power-0 bucket, and the mode-0
     power-0 bucket is the all-zero-mode part starting with the bare
     differential.  The generic split has no check.
     """
+    graded = fraction_graded(graded)
     violations = []
     for label, series in graded.by_label.items():
         for power in series.powers():
@@ -165,15 +414,6 @@ def subset_residual_term_safe(mon, diffs, window) -> bool:
     d1, d2 = diffs
     return all(abs(d1.mode + s) <= bound and abs(d2.mode + s) <= bound
                and abs(d1.mode + d2.mode + s) <= bound for s in subset_mode_sums(mon))
-
-
-def _wedge_pair(d1, d2):
-    k1, k2 = label_key(d1), label_key(d2)
-    if k1 == k2:
-        return None, 0
-    if k1 < k2:
-        return (d1, d2), 1
-    return (d2, d1), -1
 
 
 def _wedge_truncated(p, q, max_degree):
@@ -266,14 +506,6 @@ def legacy_verify_mc_equations(graded, f, s, alpha_max, window):
     return report
 
 
-def _add(acc, key, value):
-    total = acc.get(key, Fraction(0)) + value
-    if total:
-        acc[key] = total
-    elif key in acc:
-        del acc[key]
-
-
 def legacy_canonical_form_series(f, window, degree):
     """The canonical-form series with a ``Fraction`` update per term and
     bracket target, and a ``CoordMonomial`` per update."""
@@ -314,8 +546,8 @@ def legacy_canonical_form_series(f, window, degree):
         if not current:
             break
 
-    forms = {lab: FormPolynomial(dict(terms)) for lab, terms in out.items()}
-    return SeriesResult(forms, degree, window, censored)
+    forms = {lab: FractionForm(dict(terms)) for lab, terms in out.items()}
+    return FractionSeries(forms, degree, window, censored)
 
 
 def windowed_check_closure(f, s, n0, n1, window):
@@ -395,6 +627,22 @@ def windowed_compare_with_expansion(contracted, expanded, window):
                 if cv != ev:
                     diffs.append(ContractionDiff(x, y, z, cv, ev))
     return not diffs, diffs
+
+
+def windowed_check_subalgebra(f, s, window):
+    """The subalgebra verdict as the absence of a windowed witness."""
+    labels = [lab for lab in enumerate_generators(f, window) if s.sector(lab) == 0]
+    witnesses, censored = _sector_scan(f, s, window, labels, lambda x, y: 0)
+    return SplitCheckReport(is_subalgebra_v0=not witnesses, subalgebra_witnesses=witnesses,
+                            window_censored=censored)
+
+
+def windowed_check_symmetric_coset(f, s, window):
+    """The symmetric-coset verdict as the absence of a windowed witness."""
+    witnesses, censored = _sector_scan(f, s, window, enumerate_generators(f, window),
+                                       lambda x, y: (s.sector(x) + s.sector(y)) % 2)
+    return SplitCheckReport(is_symmetric_coset=not witnesses, coset_witnesses=witnesses,
+                            window_censored=censored)
 
 
 def conjugate_label(x):

@@ -230,16 +230,29 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["expand", "--split", "mode_parity"], {"algebra": "epsilon3", "window": "2"}),
-    (["validate"], ["epsilon3"]),
-    (["sweep", "-a", "epsilon3", "--split", "mode_parity", "--n0-max", "-1"], None),
-], ids=["string-window", "list-config", "negative-n0-max"])
-def test_malformed_config_is_usage_error(argv, config, tmp_path, capsys):
+GENERIC_EXPAND = ["expand", "-a", "epsilon3", "--split", "generic"]
+ONE_ENTRY = {"a": 1, "b": 2, "c": 3, "value": "1"}
+
+
+@pytest.mark.parametrize("argv, config, algebra", [
+    (["expand", "--split", "mode_parity"], {"algebra": "epsilon3", "window": "2"}, None),
+    (["validate"], ["epsilon3"], None),
+    (["sweep", "-a", "epsilon3", "--split", "mode_parity", "--n0-max", "-1"], None, None),
+    (GENERIC_EXPAND, {"splitting": {"v0_gens": [1.9, 2.2]}}, None),
+    (GENERIC_EXPAND, {"splitting": {"v0_gens": [True]}}, None),
+    (["validate", "-a", "{algebra}"], None, {"dim": True, "entries": []}),
+    (["validate", "-a", "{algebra}"], None, {"dim": 3, "entries": [{**ONE_ENTRY, "a": True}]}),
+], ids=["string-window", "list-config", "negative-n0-max", "float-v0-gens", "bool-v0-gens",
+        "bool-dim", "bool-index"])
+def test_malformed_config_is_usage_error(argv, config, algebra, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         argv = argv + ["--config", str(path)]
+    if algebra is not None:
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(algebra), encoding="utf-8")
+        argv = [str(path) if arg == "{algebra}" else arg for arg in argv]
     assert run(*argv, "--out", str(tmp_path / "out.json")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -155,6 +155,17 @@ def test_loader_rejects_decimal_value():
         algebra_from_dict(data)
 
 
+@pytest.mark.parametrize("data", [
+    {"dim": True, "entries": []},
+    {"dim": 3.0, "entries": []},
+    {"dim": 3, "entries": [{"a": True, "b": 2, "c": 3, "value": "1"}]},
+    {"dim": 3, "entries": [{"a": 1, "b": 2.0, "c": 3, "value": "1"}]},
+], ids=["bool-dim", "float-dim", "bool-index", "float-index"])
+def test_loader_rejects_bool_and_non_integer_fields(data):
+    with pytest.raises(ValueError):
+        algebra_from_dict(data)
+
+
 def test_algebra_file_round_trip(tmp_path):
     path = tmp_path / "eps.json"
     path.write_text(json.dumps(algebra_to_dict(EPS)), encoding="utf-8")

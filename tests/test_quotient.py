@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 from loopexp import (ClosureQuotient, ContractedAlgebra, ExpandedAlgebra, ModeWindow,
                      NotClosed, SplitKind, StructureConstants, algebra_from_dict,
                      build_named, builtin_algebra, check_closure, check_jacobi_expanded,
-                     compare_with_expansion, contracted_jacobi_residuals, generator_set,
-                     iw_contract, jacobi_residuals, make_splitting)
+                     check_subalgebra, check_symmetric_coset, compare_with_expansion,
+                     contracted_jacobi_residuals, generator_set, iw_contract,
+                     jacobi_residuals, make_splitting)
 from loopexp.splitting import (MODE_CLASSES, find_representatives, pair_modes,
                                triple_modes)
 
 from helpers_oracles import (windowed_check_closure, windowed_check_jacobi_expanded,
+                             windowed_check_subalgebra, windowed_check_symmetric_coset,
                              windowed_compare_with_expansion,
                              windowed_contracted_jacobi_residuals,
                              windowed_jacobi_residuals)
@@ -207,3 +209,21 @@ def test_nonlie_defect_is_found_for_every_window():
         report = check_jacobi_expanded(NONLIE, COSET, 2, 1, window)
         assert not report.ok and report.residuals
 
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_split_checks_match_windowed_scans_from_window_two(name):
+    # Every representative pair lies within |mode| <= 2, so from M = 2 on every
+    # realized sector pattern has a windowed instance and the reports agree.
+    f = ALGEBRAS[name]
+    splits = [make_splitting(kind) for kind in (SplitKind.ZERO_MODE_SUBALGEBRA,
+                                                SplitKind.MODE_PARITY_COSET)]
+    splits += [make_splitting(SplitKind.GENERIC_INDEX, v0_gens=v0, dim=f.dim)
+               for v0 in ({1}, set(range(1, f.dim)))]
+    for split in splits:
+        for m in range(2, MAX_WINDOW[f.dim] + 1):
+            window = ModeWindow(m)
+            assert check_subalgebra(f, split, window) == windowed_check_subalgebra(
+                f, split, window)
+            assert check_symmetric_coset(f, split, window) == windowed_check_symmetric_coset(
+                f, split, window)

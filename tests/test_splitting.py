@@ -112,6 +112,17 @@ def test_zero_mode_split_is_not_symmetric_coset():
     assert witness in [(w.x, w.y, w.z) for w in report.coset_witnesses]
 
 
+def test_zero_mode_coset_defect_is_found_below_its_first_witness():
+    # The witness pair (1, 1) -> 2 first fits at M = 2; below that the verdict
+    # still fails, with an empty witness list.
+    s = make_splitting(SplitKind.ZERO_MODE_SUBALGEBRA)
+    for m in (0, 1):
+        report = check_symmetric_coset(EPS, s, ModeWindow(m))
+        assert report.is_symmetric_coset is False
+        assert report.coset_witnesses == []
+    assert len(check_symmetric_coset(EPS, s, ModeWindow(2)).coset_witnesses) == 36
+
+
 def test_abelian_base_passes_everything():
     for kind in (SplitKind.ZERO_MODE_SUBALGEBRA, SplitKind.MODE_PARITY_COSET):
         s = make_splitting(kind)
