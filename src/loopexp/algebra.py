@@ -69,7 +69,7 @@ class StructureConstants:
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int, int], object] = (),
                  name: str = ""):
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
         self.dim = dim
         self.name = name
@@ -84,7 +84,7 @@ class StructureConstants:
         self.entries = clean
 
     def _check_index(self, idx: int) -> None:
-        if not isinstance(idx, int) or not 1 <= idx <= self.dim:
+        if type(idx) is not int or not 1 <= idx <= self.dim:
             raise IndexOutOfRange(f"generator index {idx!r} not in 1..{self.dim}")
 
     def entry(self, a: int, b: int, c: int) -> Fraction:
@@ -165,7 +165,7 @@ def validate(f: StructureConstants) -> ValidationReport:
     report.antisymmetry.sort()
     # The base algebra is the mode-0 slice of its loop algebra.
     labels = [LoopLabel(a, 0) for a in range(1, f.dim + 1)]
-    rows, _, _ = jacobi_sweep(labels, lambda x, y: loop_bracket(f, x, y), 0)
+    rows = jacobi_sweep(labels, lambda x, y: loop_bracket(f, x, y), 0)
     report.jacobi = [(x.gen, y.gen, z.gen, e.gen, r) for x, y, z, e, r in rows]
     return report
 

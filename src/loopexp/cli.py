@@ -25,8 +25,7 @@ from .loop import ModeWindow
 from .mcforms import (DegreeTooLow, canonical_form_series, check_grading,
                       graded_series_json, monomial_json, rescale_and_collect,
                       verify_mc_equations)
-from .splitting import (InvalidParams, SplitKind, Splitting, make_splitting,
-                        split_from_dict, split_to_dict)
+from .splitting import SplitKind, Splitting, make_splitting, split_to_dict
 
 
 class UsageError(ValueError):
@@ -142,8 +141,8 @@ def _make_split(config: RunConfig, dim: int) -> Splitting:
     if config.split_kind is None:
         raise UsageError("a splitting is required (use --split)")
     try:
-        return split_from_dict({"kind": config.split_kind, "v0_gens": config.v0_gens}, dim)
-    except InvalidParams as exc:
+        return make_splitting(SplitKind(config.split_kind), v0_gens=config.v0_gens, dim=dim)
+    except ValueError as exc:  # an unknown kind, or InvalidParams
         raise UsageError(str(exc)) from exc
 
 

@@ -11,23 +11,25 @@ generator.  :meth:`ContractedAlgebra.bracket` is the masked bracket that
 :func:`loopexp.loop.class_jacobi_sweep`.
 
 The mask depends on a mode only through its sector, so both verdicts hold
-for every mode: Jacobi is decided on the splitting's representative triples,
-and the comparison on its representative (target, source) mode pairs.  The
-window bounds only the listed rows and diffs, which are enumerated only when
-a representative shows a defect, and the triple count.
+for every mode: Jacobi is decided on the splitting's representative triples
+(the mask and its Jacobi check work on any kind), and the comparison, which
+needs the contraction on the parity coset, on the coset's representative
+(target, source) mode pairs.  The window bounds only the listed rows and
+diffs, which are enumerated only when a representative shows a defect, and
+the triple count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algebra import StructureConstants
 from .expansion import ExpandedAlgebra, ExpandedLabel, expanded_constant
 from .loop import (LoopLabel, ModeWindow, class_jacobi_sweep, enumerate_generators,
-                   loop_structure_constant)
-from .splitting import SplitKind, Splitting, find_representatives, pair_modes
+                   loop_structure_constant, window_pairs)
+from .splitting import SplitKind, Splitting
 
 
 class WrongSplitKind(ValueError):
@@ -97,55 +99,36 @@ def compare_with_expansion(contracted: ContractedAlgebra, expanded: ExpandedAlge
     """Coefficient-for-coefficient comparison under the evident label dictionary.
 
     Each loop label maps to its sector's lowest existing order: even modes to 0, odd to 1.
-    ``expanded`` must be the order-(0,1) truncation on the parity coset.  Both
-    constants depend on the modes only through their classes, so the verdict
-    comes from the representative mode pairs (of both splittings, if the
-    contraction was built on another); the diffs listed are the windowed ones.
+    ``contracted`` must be on the parity coset and ``expanded`` the order-(0,1)
+    truncation there.  Both constants depend on the modes only through their
+    classes, so the verdict comes from the representative mode pairs; only
+    when it fails are the windowed diffs listed.
     """
-    if (expanded.split.kind is not SplitKind.MODE_PARITY_COSET
-            or (expanded.n0, expanded.n1) != (0, 1)):
-        raise ValueError("comparison target must be the order-(0,1) parity expansion")
-
     f = expanded.base
     split = expanded.split
+    if (split.kind is not SplitKind.MODE_PARITY_COSET or contracted.split != split
+            or (expanded.n0, expanded.n1) != (0, 1)):
+        raise ValueError("comparison needs a contraction on the parity coset and "
+                         "the order-(0,1) expansion there")
     lowest = split.order_rule.lowest
+    gens = range(1, contracted.base.dim + 1)
 
     def lift(label: LoopLabel) -> ExpandedLabel:
         sector = split.sector(label)
         return ExpandedLabel(label.gen, label.mode, lowest[sector], sector)
 
-    pairs = (split.representatives.pairs if contracted.split == split else
-             find_representatives(lambda n: (contracted.split.mode_class(n),
-                                             split.mode_class(n))).pairs)
-    gens = range(1, contracted.base.dim + 1)
-    for pair in pairs:
-        l, n, m = pair_modes(pair)
-        for a in gens:
-            for b in gens:
-                for c in gens:
-                    x, y, z = LoopLabel(a, n), LoopLabel(b, m), LoopLabel(c, l)
-                    if contracted.constant(x, y, z) != expanded_constant(
-                            f, split, lift(x), lift(y), lift(z)):
-                        diffs = _diffs_in_window(contracted, f, split, lift, window)
-                        return not diffs, diffs
-    return True, []
-
-
-def _diffs_in_window(contracted: ContractedAlgebra, f: StructureConstants, split: Splitting,
-                     lift, window: ModeWindow) -> list[ContractionDiff]:
-    """Every differing constant whose modes lie in the window, in scan order."""
-    labels = enumerate_generators(contracted.base, window)
-    lifted = {label: lift(label) for label in labels}
-    diffs: list[ContractionDiff] = []
-    for x in labels:
-        for y in labels:
-            mode = x.mode + y.mode
-            if not window.contains(mode):
-                continue
-            for c in range(1, contracted.base.dim + 1):
-                z = LoopLabel(c, mode)
+    def diffs(pairs) -> Iterator[ContractionDiff]:
+        for x, y in pairs:
+            for c in gens:
+                z = LoopLabel(c, x.mode + y.mode)
                 cv = contracted.constant(x, y, z)
-                ev = expanded_constant(f, split, lifted[x], lifted[y], lifted[z])
+                ev = expanded_constant(f, split, lift(x), lift(y), lift(z))
                 if cv != ev:
-                    diffs.append(ContractionDiff(x, y, z, cv, ev))
-    return diffs
+                    yield ContractionDiff(x, y, z, cv, ev)
+
+    representatives = ((LoopLabel(a, n), LoopLabel(b, l - n))
+                       for l, n in split.representatives.pairs for a in gens for b in gens)
+    if next(diffs(representatives), None) is None:
+        return True, []
+    return False, list(diffs(window_pairs(enumerate_generators(contracted.base, window),
+                                          window)))

@@ -6,11 +6,12 @@ bounds enumeration and the witness lists.
 
 :func:`class_jacobi_sweep` decides the cyclic Jacobi identity for all modes:
 the loop, expanded and contracted brackets depend on a mode only through its
-class, so one representative triple per class pattern settles every triple
-with that pattern.  The loop bracket is unmasked and has one class, so its
-only representative is the base algebra's ``(0, 0, 0)``.  Only when a
-representative has a nonzero residual does :func:`jacobi_sweep`, the windowed
-enumeration, list the witness rows; the windowed counts are
+class, and the cyclic sum does not change under (x, y, z) -> (y, z, x), so
+one representative triple per rotation orbit of class patterns settles every
+triple in that orbit.  The loop bracket is unmasked and has one class, so
+its only representative is the base algebra's ``(0, 0, 0)``.  Only when a
+representative has a nonzero residual does :func:`jacobi_sweep`, the
+windowed enumeration, list the witness rows; the windowed counts are
 :func:`sweep_counts` of the labels per mode.
 """
 
@@ -19,7 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Hashable, NamedTuple, Sequence
+from functools import cache
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .algebra import StructureConstants
@@ -77,63 +79,51 @@ def enumerate_generators(f: StructureConstants, window: ModeWindow) -> list[Loop
     return [LoopLabel(a, n) for n in window.modes() for a in range(1, f.dim + 1)]
 
 
+def window_pairs(labels: Sequence, window: ModeWindow) -> Iterator[tuple]:
+    """The ordered pairs of ``labels`` whose mode sum lies in the window, in scan order."""
+    return ((x, y) for x in labels for y in labels if window.contains(x.mode + y.mode))
+
+
 def jacobi_sweep(labels: Sequence, bracket: Callable[[Hashable, Hashable], dict],
-                 bound: int) -> tuple[list[tuple], int, int]:
+                 bound: int) -> list[tuple]:
     """Cyclic Jacobi sweep [[x,y],z] + [[y,z],x] + [[z,x],y] over label triples.
 
     ``bracket(u, v)`` returns the nonzero ``{label: coefficient}`` row of
     [u, v]; its rows are memoised for this call only.  Only triples whose
     pairwise and total mode sums stay within ``bound`` are checked, so window
     edges cannot produce spurious residuals.  Returns the nonzero residual
-    rows ``(x, y, z, target, value)`` (targets sorted within a triple), the
-    triples checked, and the window skips: one per skipped pair plus one per
-    skipped third label of a kept pair.
+    rows ``(x, y, z, target, value)``, targets sorted within a triple.
     """
-    row = _memoised_rows(bracket)
+    row = cache(bracket)
     rows: list[tuple] = []
-    checked = skipped = 0
     for x in labels:
         for y in labels:
             if abs(x.mode + y.mode) > bound:
-                skipped += 1
                 continue
             for z in labels:
                 if (abs(y.mode + z.mode) > bound or abs(z.mode + x.mode) > bound
                         or abs(x.mode + y.mode + z.mode) > bound):
-                    skipped += 1
                     continue
-                checked += 1
                 for target, value in sorted(_cyclic_sum(row, x, y, z).items()):
                     if value:
                         rows.append((x, y, z, target, value))
-    return rows, checked, skipped
-
-
-def _memoised_rows(bracket: Callable[[Hashable, Hashable], dict]) -> Callable:
-    """``bracket`` as item tuples, memoised for the caller's lifetime."""
-    table: dict[tuple, tuple] = {}
-
-    def row(u, v) -> tuple:
-        if (u, v) not in table:
-            table[u, v] = tuple(bracket(u, v).items())
-        return table[u, v]
-
-    return row
+    return rows
 
 
 def _cyclic_sum(row: Callable, x, y, z) -> dict:
     """The terms of [[x,y],z] + [[y,z],x] + [[z,x],y], exact zeros included."""
     acc: dict = {}
     for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-        for mid, f1 in row(u, v):
-            for out, f2 in row(mid, w):
+        for mid, f1 in row(u, v).items():
+            for out, f2 in row(mid, w).items():
                 acc[out] = acc.get(out, 0) + f1 * f2
     return acc
 
 
 def sweep_counts(per_mode: dict[int, int], bound: int) -> tuple[int, int]:
-    """The triples checked and the window skips of :func:`jacobi_sweep` over a
-    label list with ``per_mode[n]`` labels at mode ``n``, without the sweep."""
+    """The triples :func:`jacobi_sweep` checks over a label list with
+    ``per_mode[n]`` labels at mode ``n``, and its window skips: one per
+    skipped pair plus one per skipped third label of a kept pair."""
     checked = skipped = 0
     for n, g_n in per_mode.items():
         for m, g_m in per_mode.items():
@@ -152,24 +142,22 @@ def class_jacobi_sweep(labels: Sequence, labels_at: Callable[[int], Sequence],
                        bracket: Callable[[Hashable, Hashable], dict],
                        triples: Sequence[tuple[int, int, int]], bound: int
                        ) -> tuple[list[tuple], int, int]:
-    """:func:`jacobi_sweep`'s result over the windowed ``labels``, with the
-    verdict taken from the representative mode ``triples``.
+    """:func:`jacobi_sweep`'s rows over the windowed ``labels``, with the
+    verdict taken from the representative mode ``triples``, and the
+    :func:`sweep_counts` of those labels.
 
     ``labels_at(n)`` lists every label at mode ``n``, in or out of the window.
     When no representative triple has a nonzero residual, the identity holds
-    at every triple of every mode, the rows are empty and only the counts are
-    computed; otherwise the windowed sweep lists the rows.  A defect whose
-    representatives lie outside the window then gives no rows.
+    at every triple of every mode and the rows are empty without a sweep;
+    otherwise the windowed sweep lists them.  A defect whose representatives
+    lie outside the window then gives no rows.
     """
-    row = _memoised_rows(bracket)
+    row = cache(bracket)
     at = {mode: labels_at(mode) for triple in triples for mode in triple}
-    for n, m, l in triples:
-        for x in at[n]:
-            for y in at[m]:
-                for z in at[l]:
-                    if any(_cyclic_sum(row, x, y, z).values()):
-                        return jacobi_sweep(labels, bracket, bound)
-    return ([], *sweep_counts(Counter(label.mode for label in labels), bound))
+    defect = any(any(_cyclic_sum(row, x, y, z).values()) for n, m, l in triples
+                 for x in at[n] for y in at[m] for z in at[l])
+    rows = jacobi_sweep(labels, bracket, bound) if defect else []
+    return (rows, *sweep_counts(Counter(label.mode for label in labels), bound))
 
 
 def jacobi_residuals(f: StructureConstants, window: ModeWindow

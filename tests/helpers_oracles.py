@@ -15,8 +15,9 @@ graded buckets and ``resummed``.  Tests read the store through one adapter,
 ``{(CoordMonomial, LoopLabel): Fraction}``.  The ``windowed_*`` oracles are the closure scan,
 Jacobi sweeps, contraction comparison and subalgebra and symmetric-coset
 checks that decided their verdicts on the mode window alone, before the
-mode-class quotient; last come two helpers that
-only tests use.
+mode-class quotient.  They count their own triples, skips and censored pairs,
+so the package's counting formulas have an independent reference.  Last come
+two helpers that only tests use.
 """
 
 from dataclasses import dataclass, field
@@ -31,9 +32,9 @@ from loopexp.contraction import ContractionDiff
 from loopexp.expansion import (ClosureReport, ClosureViolation, ExpandedAlgebra,
                                ExpandedJacobiReport, ExpandedLabel, JacobiResidual,
                                NotClosed, expanded_constant, generator_set, make_label)
-from loopexp.loop import enumerate_generators, jacobi_sweep, label_key, loop_bracket
+from loopexp.loop import enumerate_generators, label_key, loop_bracket
 from loopexp.mcforms import DegreeTooLow, InvalidDegree, McResidualReport, McResidualTerm
-from loopexp.splitting import SplitCheckReport, _sector_scan
+from loopexp.splitting import SectorWitness, SplitCheckReport
 
 
 def dense_tensor(dim: int, raw_entries: dict) -> list:
@@ -576,6 +577,33 @@ def windowed_check_closure(f, s, n0, n1, window):
     return report
 
 
+def windowed_jacobi_sweep(labels, bracket, bound):
+    """Cyclic Jacobi sweep over the label triples whose pairwise and total mode
+    sums stay within ``bound``: the nonzero residual rows (targets sorted
+    within a triple), the triples checked, and the window skips, one per
+    skipped pair plus one per skipped third label of a kept pair."""
+    rows, checked, skipped = [], 0, 0
+    for x in labels:
+        for y in labels:
+            if abs(x.mode + y.mode) > bound:
+                skipped += 1
+                continue
+            for z in labels:
+                if (abs(y.mode + z.mode) > bound or abs(z.mode + x.mode) > bound
+                        or abs(x.mode + y.mode + z.mode) > bound):
+                    skipped += 1
+                    continue
+                checked += 1
+                acc = {}
+                for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+                    for mid, f1 in bracket(u, v).items():
+                        for out, f2 in bracket(mid, w).items():
+                            acc[out] = acc.get(out, 0) + f1 * f2
+                rows.extend((x, y, z, target, value)
+                            for target, value in sorted(acc.items()) if value)
+    return rows, checked, skipped
+
+
 def windowed_check_jacobi_expanded(f, s, n0, n1, window):
     """The windowed Jacobi sweep of a truncation the windowed scan calls closed."""
     closure = windowed_check_closure(f, s, n0, n1, window)
@@ -583,21 +611,22 @@ def windowed_check_jacobi_expanded(f, s, n0, n1, window):
         raise NotClosed(f"truncation ({n0},{n1}) is not closed; "
                         f"{len(closure.violations)} violations")
     alg = ExpandedAlgebra.build(f, s, n0, n1, window)
-    rows, checked, skipped = jacobi_sweep(alg.generators, alg.bracket, window.max_abs_mode)
+    rows, checked, skipped = windowed_jacobi_sweep(alg.generators, alg.bracket,
+                                                   window.max_abs_mode)
     residuals = [JacobiResidual(*r) for r in rows]
     return ExpandedJacobiReport(not residuals, residuals, checked, skipped)
 
 
 def windowed_jacobi_residuals(f, window):
-    rows, checked, _ = jacobi_sweep(enumerate_generators(f, window),
-                                    lambda x, y: loop_bracket(f, x, y),
-                                    window.max_abs_mode)
+    rows, checked, _ = windowed_jacobi_sweep(enumerate_generators(f, window),
+                                             lambda x, y: loop_bracket(f, x, y),
+                                             window.max_abs_mode)
     return rows, checked
 
 
 def windowed_contracted_jacobi_residuals(alg):
-    rows, checked, _ = jacobi_sweep(enumerate_generators(alg.base, alg.window), alg.bracket,
-                                    alg.window.max_abs_mode)
+    rows, checked, _ = windowed_jacobi_sweep(enumerate_generators(alg.base, alg.window),
+                                             alg.bracket, alg.window.max_abs_mode)
     return rows, checked
 
 
@@ -627,6 +656,27 @@ def windowed_compare_with_expansion(contracted, expanded, window):
                 if cv != ev:
                     diffs.append(ContractionDiff(x, y, z, cv, ev))
     return not diffs, diffs
+
+
+def _sector_scan(f, s, window, labels, expected):
+    """Windowed scan of every ordered label pair for a bracket term whose target
+    sector is not ``expected(x, y)``; returns the witnesses and the number of
+    nonzero pairs censored because their mode sum leaves the window."""
+    witnesses = []
+    censored = 0
+    for x in labels:
+        for y in labels:
+            mode = x.mode + y.mode
+            if not window.contains(mode):
+                if f.pair_targets(x.gen, y.gen):
+                    censored += 1
+                continue
+            want = expected(x, y)
+            for c, v in f.pair_targets(x.gen, y.gen):
+                z = LoopLabel(c, mode)
+                if s.sector(z) != want:
+                    witnesses.append(SectorWitness(x, y, z, v))
+    return witnesses, censored
 
 
 def windowed_check_subalgebra(f, s, window):

@@ -242,8 +242,11 @@ ONE_ENTRY = {"a": 1, "b": 2, "c": 3, "value": "1"}
     (GENERIC_EXPAND, {"splitting": {"v0_gens": [True]}}, None),
     (["validate", "-a", "{algebra}"], None, {"dim": True, "entries": []}),
     (["validate", "-a", "{algebra}"], None, {"dim": 3, "entries": [{**ONE_ENTRY, "a": True}]}),
+    (["sweep", "-a", "epsilon3"], {"splitting": {"kind": "nope"}}, None),
+    (["sweep", "-a", "epsilon3"], {"splitting": {"kind": ["mode_parity"]}}, None),
+    (["sweep", "-a", "epsilon3"], {"splitting": {"kind": "mode_parity", "v0_gens": [1]}}, None),
 ], ids=["string-window", "list-config", "negative-n0-max", "float-v0-gens", "bool-v0-gens",
-        "bool-dim", "bool-index"])
+        "bool-dim", "bool-index", "unknown-kind", "list-kind", "v0-gens-on-mode-parity"])
 def test_malformed_config_is_usage_error(argv, config, algebra, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "run.json"

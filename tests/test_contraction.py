@@ -63,6 +63,12 @@ def test_comparison_requires_the_right_expansion():
     contracted = iw_contract(EPS, COSET, window)
     with pytest.raises(ValueError):
         compare_with_expansion(contracted, build_named("G21", EPS, window), window)
+    # The contraction must be on the parity coset too.
+    for split in (make_splitting(SplitKind.ZERO_MODE_SUBALGEBRA),
+                  make_splitting(SplitKind.GENERIC_INDEX, v0_gens={1}, dim=3)):
+        with pytest.raises(ValueError):
+            compare_with_expansion(ContractedAlgebra(EPS, split, window),
+                                   build_named("G01", EPS, window), window)
 
 
 class _Perturbed(ContractedAlgebra):
@@ -84,6 +90,11 @@ def test_perturbed_contraction_is_caught():
     diff = diffs[0]
     assert (diff.x, diff.y, diff.z) == (LoopLabel(1, 0), LoopLabel(2, 1), LoopLabel(3, 1))
     assert diff.contracted == diff.expanded + 1
+    # The verdict holds for every mode: at M = 0 the differing constant, which
+    # needs mode 1, is not listed, but the comparison still fails.
+    window = ModeWindow(0)
+    assert compare_with_expansion(_Perturbed(EPS, COSET, window), build_named("G01", EPS, window),
+                                  window) == (False, [])
 
 
 def test_contraction_preserves_jacobi():

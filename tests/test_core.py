@@ -166,6 +166,16 @@ def test_loader_rejects_bool_and_non_integer_fields(data):
         algebra_from_dict(data)
 
 
+def test_constructor_rejects_bool_fields():
+    # bool is a subclass of int; the constructor and its index check take exact ints.
+    with pytest.raises(ValueError):
+        StructureConstants(True, {})
+    with pytest.raises(IndexOutOfRange):
+        StructureConstants(2, {(True, 2, 1): 1})
+    with pytest.raises(IndexOutOfRange):
+        EPS.entry(True, 2, 3)
+
+
 def test_algebra_file_round_trip(tmp_path):
     path = tmp_path / "eps.json"
     path.write_text(json.dumps(algebra_to_dict(EPS)), encoding="utf-8")

@@ -125,11 +125,11 @@ def test_quotient_matches_windowed_oracles(case):
             check_jacobi_expanded(f, split, n0, n1, window)
 
     assert jacobi_residuals(f, window) == windowed_jacobi_residuals(f, window)
-    # The mask on the drawn splitting; off the coset, the comparison with the
-    # parity expansion needs the representatives of both splittings.
-    contracted = ContractedAlgebra(f, split, window)
-    assert contracted_jacobi_residuals(contracted) == windowed_contracted_jacobi_residuals(
-        contracted)
+    # The mask and its Jacobi check on the drawn splitting; the comparison
+    # with the parity expansion takes the contraction on the coset.
+    masked = ContractedAlgebra(f, split, window)
+    assert contracted_jacobi_residuals(masked) == windowed_contracted_jacobi_residuals(masked)
+    contracted = iw_contract(f, COSET, window)
     expanded = build_named("G01", f, window)
     match, diffs = compare_with_expansion(contracted, expanded, window)
     expected_match, expected_diffs = windowed_compare_with_expansion(contracted, expanded, window)
@@ -157,17 +157,25 @@ def test_wider_search_finds_no_new_class_pattern(kind):
     classes = MODE_CLASSES[kind]
     narrow, wide = find_representatives(classes), find_representatives(classes, span=6)
 
-    def patterns(reps, spread):
-        return {tuple(map(classes, spread(rep))) for rep in reps}
+    def pattern(modes):
+        return tuple(map(classes, pair_modes(modes)))
 
-    assert patterns(wide.pairs, pair_modes) == patterns(narrow.pairs, pair_modes)
-    assert patterns(wide.triples, triple_modes) == patterns(narrow.triples, triple_modes)
-    # Each representative spans no more than any other instance of its pattern.
-    for reps, spread, arity in ((narrow.pairs, pair_modes, 2),
-                                (narrow.triples, triple_modes, 3)):
-        span = {tuple(map(classes, spread(rep))): max(map(abs, spread(rep))) for rep in reps}
+    def orbit(modes):
+        """The class patterns of a triple's rotations (n, m, l) -> (m, l, n)."""
+        n, m, l = modes
+        return frozenset(tuple(map(classes, triple_modes(turn)))
+                         for turn in ((n, m, l), (m, l, n), (l, n, m)))
+
+    assert {pattern(rep) for rep in wide.pairs} == {pattern(rep) for rep in narrow.pairs}
+    assert {orbit(rep) for rep in wide.triples} == {orbit(rep) for rep in narrow.triples}
+    # One representative per orbit, and each spans no more than any other
+    # instance of its pair pattern or triple orbit.
+    assert len({orbit(rep) for rep in narrow.triples}) == len(narrow.triples)
+    for reps, key, spread, arity in ((narrow.pairs, pattern, pair_modes, 2),
+                                     (narrow.triples, orbit, triple_modes, 3)):
+        span = {key(rep): max(map(abs, spread(rep))) for rep in reps}
         for modes in product(range(-6, 7), repeat=arity):
-            assert max(map(abs, spread(modes))) >= span[tuple(map(classes, spread(modes)))]
+            assert max(map(abs, spread(modes))) >= span[key(modes)]
 
 
 def test_representative_counts():
@@ -175,8 +183,8 @@ def test_representative_counts():
                      len(find_representatives(MODE_CLASSES[kind]).triples))
               for kind in SplitKind}
     assert counts == {SplitKind.GENERIC_INDEX: (1, 1),
-                      SplitKind.ZERO_MODE_SUBALGEBRA: (5, 18),
-                      SplitKind.MODE_PARITY_COSET: (4, 8)}
+                      SplitKind.ZERO_MODE_SUBALGEBRA: (5, 8),
+                      SplitKind.MODE_PARITY_COSET: (4, 4)}
 
 
 @pytest.mark.parametrize("split, orders", [
@@ -215,15 +223,65 @@ def test_nonlie_defect_is_found_for_every_window():
 def test_split_checks_match_windowed_scans_from_window_two(name):
     # Every representative pair lies within |mode| <= 2, so from M = 2 on every
     # realized sector pattern has a windowed instance and the reports agree.
+    # Below that only a verdict may differ, and only toward failure: the
+    # counts match from M = 0, and so do the witnesses, which a passing
+    # verdict rules out at every mode.
     f = ALGEBRAS[name]
     splits = [make_splitting(kind) for kind in (SplitKind.ZERO_MODE_SUBALGEBRA,
                                                 SplitKind.MODE_PARITY_COSET)]
     splits += [make_splitting(SplitKind.GENERIC_INDEX, v0_gens=v0, dim=f.dim)
                for v0 in ({1}, set(range(1, f.dim)))]
     for split in splits:
-        for m in range(2, MAX_WINDOW[f.dim] + 1):
+        for m in range(0, MAX_WINDOW[f.dim] + 1):
             window = ModeWindow(m)
-            assert check_subalgebra(f, split, window) == windowed_check_subalgebra(
-                f, split, window)
-            assert check_symmetric_coset(f, split, window) == windowed_check_symmetric_coset(
-                f, split, window)
+            sub = check_subalgebra(f, split, window)
+            coset = check_symmetric_coset(f, split, window)
+            expected_sub = windowed_check_subalgebra(f, split, window)
+            expected_coset = windowed_check_symmetric_coset(f, split, window)
+            if m >= 2:
+                assert (sub, coset) == (expected_sub, expected_coset)
+            assert at_most(sub.is_subalgebra_v0, expected_sub.is_subalgebra_v0)
+            assert at_most(coset.is_symmetric_coset, expected_coset.is_symmetric_coset)
+            assert (sub.subalgebra_witnesses, sub.window_censored) == (
+                expected_sub.subalgebra_witnesses, expected_sub.window_censored)
+            assert (coset.coset_witnesses, coset.window_censored) == (
+                expected_coset.coset_witnesses, expected_coset.window_censored)
+
+
+# The windowed witness listers, by module.  The class checks call them only
+# to list the witnesses of a failed verdict.
+WITNESS_LISTERS = [("loop", "jacobi_sweep"), ("expansion", "_closure_witnesses"),
+                   ("splitting", "window_pairs"), ("contraction", "window_pairs")]
+
+
+class _Shifted(ContractedAlgebra):
+    """Fixture: every constant off by one, so the comparison fails."""
+
+    def constant(self, x, y, z):
+        return super().constant(x, y, z) + 1
+
+
+def test_windowed_scans_run_only_on_a_failed_verdict(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a windowed scan ran")
+
+    for module, name in WITNESS_LISTERS:
+        monkeypatch.setattr(f"loopexp.{module}.{name}", refuse)
+    window = ModeWindow(2)
+    contracted = iw_contract(GL3, COSET, window)
+    expanded = build_named("G01", GL3, window)
+    assert check_subalgebra(GL3, COSET, window).is_subalgebra_v0
+    assert check_symmetric_coset(GL3, COSET, window).is_symmetric_coset
+    assert compare_with_expansion(contracted, expanded, window) == (True, [])
+    assert jacobi_residuals(GL3, window)[0] == []
+    assert contracted_jacobi_residuals(contracted)[0] == []
+    assert check_jacobi_expanded(GL3, COSET, 2, 1, window).ok
+    # A failed verdict calls each lister.
+    zero_mode = make_splitting(SplitKind.ZERO_MODE_SUBALGEBRA)
+    for failing in (lambda: jacobi_residuals(NONLIE, window),
+                    lambda: check_closure(EPS, COSET, 0, 3, window),
+                    lambda: check_symmetric_coset(EPS, zero_mode, window),
+                    lambda: compare_with_expansion(_Shifted(GL3, COSET, window), expanded,
+                                                   window)):
+        with pytest.raises(AssertionError, match="windowed scan"):
+            failing()

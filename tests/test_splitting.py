@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from loopexp import (InvalidParams, LoopLabel, ModeWindow, SplitKind,
                      builtin_algebra, check_subalgebra, check_symmetric_coset,
                      loop_structure_constant, make_splitting)
-from loopexp.splitting import split_from_dict, split_to_dict
 
 from helpers_oracles import structurally_exists
 
@@ -139,12 +138,3 @@ def test_witnesses_reverify_against_constants():
     for w in report.coset_witnesses:
         value = loop_structure_constant(EPS, w.x, w.y, w.z)
         assert value == w.value != 0
-
-
-def test_split_serialization_round_trip():
-    for s in (make_splitting(SplitKind.ZERO_MODE_SUBALGEBRA),
-              make_splitting(SplitKind.MODE_PARITY_COSET),
-              make_splitting(SplitKind.GENERIC_INDEX, v0_gens={1, 3}, dim=4)):
-        assert split_from_dict(split_to_dict(s), 4) == s
-    with pytest.raises(InvalidParams):
-        split_from_dict({"kind": "nope"}, 3)
