@@ -199,6 +199,8 @@ def algebra_from_dict(data: Mapping) -> StructureConstants:
     if type(dim) is not int or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     name = data.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
     canon: dict[tuple[int, int, int], Fraction] = {}
     for row in data.get("entries", ()):
         a, b, c = row["a"], row["b"], row["c"]

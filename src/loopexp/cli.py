@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .algebra import (BUILTIN_NAMES, ContradictoryEntries, IndexOutOfRange,
                       StructureConstants, builtin_algebra, format_rational,
@@ -32,22 +31,11 @@ class UsageError(ValueError):
     """Configuration problems surfaced with exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    algebra: str
-    split_kind: str | None = None
-    v0_gens: tuple[int, ...] | None = None
-    n0: int = 0
-    n1: int = 0
-    window: int = 1
-    degree: int = 4
-    alpha_max: int = 2
-    case: str | None = None
-    n0_max: int = 3
-    n1_max: int = 3
-    out: str | None = None
-    fmt: str = "json"
+# Each config-file setting and its default; a flag beats the file, the file the
+# default.  The splitting's "kind" and "v0_gens" fill ``split`` and ``v0_gens``.
+# Settings with an integer default must be non-negative integers.
+SETTINGS = {"algebra": None, "split": None, "v0_gens": None, "n0": 0, "n1": 0,
+            "window": 1, "degree": 4, "alpha_max": 2, "n0_max": 3, "n1_max": 3}
 
 
 def _parse_v0(text) -> tuple[int, ...]:
@@ -72,55 +60,33 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, an optional JSON config file, and explicit flags."""
-    data: dict = {}
-    if getattr(args, "config", None):
-        data = _load_config_file(args.config)
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill each setting of ``args`` that no flag gave from the optional JSON
+    config file, else from its default."""
+    data = _load_config_file(args.config) if args.config else {}
     if not isinstance(data, dict):
         raise UsageError("a config file must hold a JSON object")
     split_spec = data.get("splitting", {})
     if not isinstance(split_spec, dict):
         raise UsageError("the config's splitting must be a JSON object")
-
-    def pick(flag_value, file_value, default):
-        if flag_value is not None:
-            return flag_value
-        if file_value is not None:
-            return file_value
-        return default
-
-    case = getattr(args, "case", None)
     clashing = [name for name in ("split", "v0_gens", "n0", "n1")
                 if getattr(args, name, None) is not None]
-    if case is not None and clashing:
+    if getattr(args, "case", None) is not None and clashing:
         raise UsageError("--case fixes the splitting and orders; it cannot be combined "
                          "with " + ", ".join("--" + name.replace("_", "-") for name in clashing))
-    algebra = pick(getattr(args, "algebra", None), data.get("algebra"), None)
-    if not isinstance(algebra, str):
-        raise UsageError("no algebra name or file given (use --algebra or a config file)")
-    v0_gens = pick(getattr(args, "v0_gens", None), split_spec.get("v0_gens"), None)
-    config = RunConfig(
-        command=args.command,
-        algebra=algebra,
-        split_kind=pick(getattr(args, "split", None), split_spec.get("kind"), None),
-        v0_gens=_parse_v0(v0_gens) if v0_gens else None,
-        n0=pick(getattr(args, "n0", None), data.get("n0"), 0),
-        n1=pick(getattr(args, "n1", None), data.get("n1"), 0),
-        window=pick(getattr(args, "window", None), data.get("window"), 1),
-        degree=pick(getattr(args, "degree", None), data.get("degree"), 4),
-        alpha_max=pick(getattr(args, "alpha_max", None), data.get("alpha_max"), 2),
-        case=case,
-        n0_max=pick(getattr(args, "n0_max", None), data.get("n0_max"), 3),
-        n1_max=pick(getattr(args, "n1_max", None), data.get("n1_max"), 3),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", None) or "json",
-    )
-    for name in ("n0", "n1", "window", "degree", "alpha_max", "n0_max", "n1_max"):
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    from_file = {**data, "split": split_spec.get("kind"), "v0_gens": split_spec.get("v0_gens")}
+    for name, default in SETTINGS.items():
+        value = getattr(args, name, None)
+        value = from_file.get(name) if value is None else value
+        value = default if value is None else value
+        if default is not None and (isinstance(value, bool) or not isinstance(value, int)
+                                    or value < 0):
             raise UsageError(f"{name} must be a non-negative integer, got {value!r}")
-    return config
+        setattr(args, name, value)
+    if not isinstance(args.algebra, str):
+        raise UsageError("no algebra name or file given (use --algebra or a config file)")
+    args.v0_gens = _parse_v0(args.v0_gens) if args.v0_gens else None
+    return args
 
 
 def _load_algebra_spec(spec: str) -> StructureConstants:
@@ -137,11 +103,11 @@ def _load_algebra_spec(spec: str) -> StructureConstants:
         raise UsageError(f"cannot load algebra from {spec}: {exc}") from exc
 
 
-def _make_split(config: RunConfig, dim: int) -> Splitting:
-    if config.split_kind is None:
+def _make_split(args: argparse.Namespace, dim: int) -> Splitting:
+    if args.split is None:
         raise UsageError("a splitting is required (use --split)")
     try:
-        return make_splitting(SplitKind(config.split_kind), v0_gens=config.v0_gens, dim=dim)
+        return make_splitting(SplitKind(args.split), v0_gens=args.v0_gens, dim=dim)
     except ValueError as exc:  # an unknown kind, or InvalidParams
         raise UsageError(str(exc)) from exc
 
@@ -165,14 +131,14 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(chunks, out)
 
 
-def cmd_validate(config: RunConfig) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        f = _load_algebra_spec(config.algebra)
+        f = _load_algebra_spec(args.algebra)
     except ContradictoryEntries as exc:
         # The loader refuses to build a contradictory tensor; report the
         # offending triple as an antisymmetry violation of the definition.
         payload = {
-            "algebra": config.algebra,
+            "algebra": args.algebra,
             "valid": False,
             "antisymmetry_violations": [
                 {"a": exc.a, "b": exc.b, "c": exc.c,
@@ -180,11 +146,11 @@ def cmd_validate(config: RunConfig) -> int:
             "jacobi_defects": [],
             "note": "definition rejected by the loader",
         }
-        _emit_json(payload, config.out)
+        _emit_json(payload, args.out)
         return 1
     report = validate(f)
     payload = {
-        "algebra": f.name or config.algebra,
+        "algebra": f.name or args.algebra,
         "dim": f.dim,
         "valid": report.is_valid,
         "antisymmetry_violations": [
@@ -195,18 +161,16 @@ def cmd_validate(config: RunConfig) -> int:
             {"a": a, "b": b, "c": c, "e": e, "residual": format_rational(r)}
             for a, b, c, e, r in report.jacobi],
     }
-    _emit_json(payload, config.out)
+    _emit_json(payload, args.out)
     return 0 if report.is_valid else 1
 
 
-def _resolve_expansion(config: RunConfig, f: StructureConstants,
+def _resolve_expansion(args: argparse.Namespace, f: StructureConstants,
                        window: ModeWindow) -> ExpandedAlgebra:
-    if config.case:
-        if config.case not in NAMED_CASES:
-            raise UsageError(f"unknown case {config.case!r}; choices: {sorted(NAMED_CASES)}")
-        return build_named(config.case, f, window)
-    split = _make_split(config, f.dim)
-    return ExpandedAlgebra.build(f, split, config.n0, config.n1, window)
+    if args.case:
+        return build_named(args.case, f, window)
+    split = _make_split(args, f.dim)
+    return ExpandedAlgebra.build(f, split, args.n0, args.n1, window)
 
 
 def _retained_brackets(alg: ExpandedAlgebra):
@@ -247,14 +211,14 @@ def _latex_tables(alg: ExpandedAlgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_expand(config: RunConfig) -> int:
-    f = _load_algebra_spec(config.algebra)
-    window = ModeWindow(config.window)
-    alg = _resolve_expansion(config, f, window)
+def cmd_expand(args: argparse.Namespace) -> int:
+    f = _load_algebra_spec(args.algebra)
+    window = ModeWindow(args.window)
+    alg = _resolve_expansion(args, f, window)
     closure = alg.closure_report()
     jacobi = alg.jacobi_report() if closure.closed else None
     payload = {
-        "algebra": f.name or config.algebra,
+        "algebra": f.name or args.algebra,
         "splitting": split_to_dict(alg.split),
         "n0": alg.n0,
         "n1": alg.n1,
@@ -278,22 +242,22 @@ def cmd_expand(config: RunConfig) -> int:
                         for r in jacobi.residuals]}),
         "constants": _constants_json(alg),
     }
-    if config.fmt == "latex":
-        _emit([_latex_tables(alg)], config.out)
+    if args.format == "latex":
+        _emit([_latex_tables(alg)], args.out)
     else:
-        _emit_json(payload, config.out)
+        _emit_json(payload, args.out)
     return 0 if closure.closed and jacobi is not None and jacobi.ok else 1
 
 
-def cmd_contract(config: RunConfig) -> int:
-    f = _load_algebra_spec(config.algebra)
-    window = ModeWindow(config.window)
+def cmd_contract(args: argparse.Namespace) -> int:
+    f = _load_algebra_spec(args.algebra)
+    window = ModeWindow(args.window)
     split = make_splitting(SplitKind.MODE_PARITY_COSET)
     contracted = iw_contract(f, split, window)
     expanded = build_named("G01", f, window)
-    match, diffs = compare_with_expansion(contracted, expanded, window)
+    match, diffs = compare_with_expansion(contracted, expanded)
     payload = {
-        "algebra": f.name or config.algebra,
+        "algebra": f.name or args.algebra,
         "window": window.max_abs_mode,
         "match": match,
         "diffs": [
@@ -303,26 +267,26 @@ def cmd_contract(config: RunConfig) -> int:
              "expanded": format_rational(d.expanded)}
             for d in diffs],
     }
-    _emit_json(payload, config.out)
+    _emit_json(payload, args.out)
     return 0 if match else 1
 
 
-def cmd_mc(config: RunConfig) -> int:
-    f = _load_algebra_spec(config.algebra)
-    window = ModeWindow(config.window)
-    split = _make_split(config, f.dim)
-    if config.degree < config.alpha_max + 1:
-        raise UsageError(f"degree {config.degree} too low for alpha_max "
-                         f"{config.alpha_max}; need degree >= {config.alpha_max + 1}")
-    series = canonical_form_series(f, window, config.degree)
+def cmd_mc(args: argparse.Namespace) -> int:
+    f = _load_algebra_spec(args.algebra)
+    window = ModeWindow(args.window)
+    split = _make_split(args, f.dim)
+    if args.degree < args.alpha_max + 1:
+        raise UsageError(f"degree {args.degree} too low for alpha_max "
+                         f"{args.alpha_max}; need degree >= {args.alpha_max + 1}")
+    series = canonical_form_series(f, window, args.degree)
     graded = rescale_and_collect(series, split)
-    residuals = verify_mc_equations(graded, f, split, config.alpha_max, window)
-    grading = check_grading(graded, split)
+    residuals = verify_mc_equations(graded, f, args.alpha_max)
+    grading = check_grading(graded)
     payload = {
-        "algebra": f.name or config.algebra,
+        "algebra": f.name or args.algebra,
         "splitting": split_to_dict(split),
-        "degree": config.degree,
-        "alpha_max": config.alpha_max,
+        "degree": args.degree,
+        "alpha_max": args.alpha_max,
         "window": window.max_abs_mode,
         "series_censored": series.censored,
         "residuals_ok": residuals.ok,
@@ -341,24 +305,24 @@ def cmd_mc(config: RunConfig) -> int:
             for lab, power, reason in grading.violations],
         "series": graded_series_json(graded),
     }
-    _emit_json(payload, config.out)
+    _emit_json(payload, args.out)
     return 0 if residuals.ok and grading.ok else 1
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    f = _load_algebra_spec(config.algebra)
-    window = ModeWindow(config.window)
-    split = _make_split(config, f.dim)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    f = _load_algebra_spec(args.algebra)
+    window = ModeWindow(args.window)
+    split = _make_split(args, f.dim)
     quotient = ClosureQuotient(f, split, window)
     cells = [quotient.cell(n0, n1)._asdict()
-             for n0 in range(config.n0_max + 1) for n1 in range(config.n1_max + 1)]
+             for n0 in range(args.n0_max + 1) for n1 in range(args.n1_max + 1)]
     payload = {
-        "algebra": f.name or config.algebra,
+        "algebra": f.name or args.algebra,
         "splitting": split_to_dict(split),
         "window": window.max_abs_mode,
         "cells": cells,
     }
-    _emit_json(payload, config.out)
+    _emit_json(payload, args.out)
     return 0
 
 
@@ -377,23 +341,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-rational loop-algebra expansion engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def integer(p: argparse.ArgumentParser, *flags: str, text: str) -> None:
+        default = SETTINGS[flags[0][2:].replace("-", "_")]
+        p.add_argument(*flags, type=int, help=f"{text} (default {default})")
+
     def common(p: argparse.ArgumentParser, *, split: bool = False, orders: bool = False,
                degree: bool = False, case: bool = False, fmt: bool = False) -> None:
         p.add_argument("--algebra", "-a", help=f"built-in name {BUILTIN_NAMES} or JSON file")
         p.add_argument("--config", help="JSON run-configuration file")
-        p.add_argument("--window", "-M", type=int, help="mode window bound (default 1)")
+        integer(p, "--window", "-M", text="mode window bound")
         p.add_argument("--out", "-o", help="output file (default stdout)")
         if split:
             p.add_argument("--split", choices=[k.value for k in SplitKind])
-            p.add_argument("--v0-gens", dest="v0_gens",
-                           help="comma-separated generator indices for the generic split")
+            p.add_argument("--v0-gens", help="comma-separated generator indices for the "
+                                             "generic split")
         if orders:
-            p.add_argument("--n0", type=int, help="sector-0 truncation order")
-            p.add_argument("--n1", type=int, help="sector-1 truncation order")
+            integer(p, "--n0", text="sector-0 truncation order")
+            integer(p, "--n1", text="sector-1 truncation order")
         if degree:
-            p.add_argument("--degree", "-D", type=int, help="series degree (default 4)")
-            p.add_argument("--alpha-max", dest="alpha_max", type=int,
-                           help="highest graded order to verify (default 2)")
+            integer(p, "--degree", "-D", text="series degree")
+            integer(p, "--alpha-max", text="highest graded order to verify")
         if case:
             p.add_argument("--case", choices=sorted(NAMED_CASES),
                            help="named truncation; excludes --split/--v0-gens/--n0/--n1")
@@ -405,12 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
            split=True, orders=True, case=True, fmt=True)
     common(sub.add_parser("contract", help="compare the sector contraction with "
                                            "the order-(0,1) parity expansion"))
-    p_mc = sub.add_parser("mc", help="canonical-form series and graded residuals")
-    common(p_mc, split=True, degree=True)
+    common(sub.add_parser("mc", help="canonical-form series and graded residuals"),
+           split=True, degree=True)
     p_sweep = sub.add_parser("sweep", help="closure matrix over truncation orders")
     common(p_sweep, split=True)
-    p_sweep.add_argument("--n0-max", dest="n0_max", type=int)
-    p_sweep.add_argument("--n1-max", dest="n1_max", type=int)
+    integer(p_sweep, "--n0-max", text="largest sector-0 order")
+    integer(p_sweep, "--n1-max", text="largest sector-1 order")
     return parser
 
 
@@ -419,9 +386,7 @@ def main(argv=None) -> int:
     # lets it be freed at once instead of surviving into an older GC generation.
     args = build_parser().parse_args(argv)
     try:
-        config = build_config(args)
-        handler = _HANDLERS[args.command]
-        return handler(config)
+        return _HANDLERS[args.command](build_config(args))
     except (UsageError, DegreeTooLow, ContradictoryEntries,
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,10 +13,10 @@ generator.  :meth:`ContractedAlgebra.bracket` is the masked bracket that
 The mask depends on a mode only through its sector, so both verdicts hold
 for every mode: Jacobi is decided on the splitting's representative triples
 (the mask and its Jacobi check work on any kind), and the comparison, which
-needs the contraction on the parity coset, on the coset's representative
-(target, source) mode pairs.  The window bounds only the listed rows and
-diffs, which are enumerated only when a representative shows a defect, and
-the triple count.
+needs the contraction on the parity coset, compares brackets on the coset's
+representative (target, source) mode pairs.  The contracted algebra's window
+bounds only the listed rows and diffs, which are enumerated only when a
+representative shows a defect, and the triple count.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .algebra import StructureConstants
-from .expansion import ExpandedAlgebra, ExpandedLabel, expanded_constant
+from .expansion import ExpandedAlgebra, ExpandedLabel
 from .loop import (LoopLabel, ModeWindow, class_jacobi_sweep, enumerate_generators,
                    loop_structure_constant, window_pairs)
 from .splitting import SplitKind, Splitting
@@ -94,17 +94,17 @@ class ContractionDiff(NamedTuple):
     expanded: Fraction
 
 
-def compare_with_expansion(contracted: ContractedAlgebra, expanded: ExpandedAlgebra,
-                           window: ModeWindow) -> tuple[bool, list[ContractionDiff]]:
-    """Coefficient-for-coefficient comparison under the evident label dictionary.
+def compare_with_expansion(contracted: ContractedAlgebra, expanded: ExpandedAlgebra
+                           ) -> tuple[bool, list[ContractionDiff]]:
+    """Bracket-for-bracket comparison under the evident label dictionary.
 
     Each loop label maps to its sector's lowest existing order: even modes to 0, odd to 1.
     ``contracted`` must be on the parity coset and ``expanded`` the order-(0,1)
-    truncation there.  Both constants depend on the modes only through their
-    classes, so the verdict comes from the representative mode pairs; only
-    when it fails are the windowed diffs listed.
+    truncation there.  ``contracted.bracket`` of each pair meets the expanded bracket
+    of the lifted pair; both depend on the modes only through their classes, so the
+    verdict comes from the representative mode pairs, and only when it fails are
+    the diffs over ``contracted.window`` listed, by target generator per pair.
     """
-    f = expanded.base
     split = expanded.split
     if (split.kind is not SplitKind.MODE_PARITY_COSET or contracted.split != split
             or (expanded.n0, expanded.n1) != (0, 1)):
@@ -119,10 +119,11 @@ def compare_with_expansion(contracted: ContractedAlgebra, expanded: ExpandedAlge
 
     def diffs(pairs) -> Iterator[ContractionDiff]:
         for x, y in pairs:
-            for c in gens:
-                z = LoopLabel(c, x.mode + y.mode)
-                cv = contracted.constant(x, y, z)
-                ev = expanded_constant(f, split, lift(x), lift(y), lift(z))
+            masked = contracted.bracket(x, y)
+            lifted = {LoopLabel(z.gen, z.mode): v
+                      for z, v in expanded.bracket(lift(x), lift(y)).items()}
+            for z in sorted(masked.keys() | lifted.keys()):
+                cv, ev = masked.get(z, Fraction(0)), lifted.get(z, Fraction(0))
                 if cv != ev:
                     yield ContractionDiff(x, y, z, cv, ev)
 
@@ -130,5 +131,5 @@ def compare_with_expansion(contracted: ContractedAlgebra, expanded: ExpandedAlge
                        for l, n in split.representatives.pairs for a in gens for b in gens)
     if next(diffs(representatives), None) is None:
         return True, []
-    return False, list(diffs(window_pairs(enumerate_generators(contracted.base, window),
-                                          window)))
+    return False, list(diffs(window_pairs(
+        enumerate_generators(contracted.base, contracted.window), contracted.window)))

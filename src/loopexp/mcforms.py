@@ -25,6 +25,7 @@ residual.
 Mode-window censoring: a term is trustworthy only if every partial mode sum of
 its factors stays inside the window (the recursion would otherwise have dropped
 some of its build paths, and the pair sum would miss out-of-window sources).
+The checks read that window, and the splitting, from the graded series.
 Such terms are excluded from verification and counted, never reported as
 residuals.  The counters of :func:`verify_mc_equations` are:
 
@@ -245,8 +246,8 @@ def _folded_pairs(f: StructureConstants, c: int) -> list[tuple[int, int, Fractio
     return [row for row in scaled if row[2]]
 
 
-def verify_mc_equations(graded: GradedSeriesResult, f: StructureConstants, s: Splitting,
-                        alpha_max: int, window: ModeWindow) -> McResidualReport:
+def verify_mc_equations(graded: GradedSeriesResult, f: StructureConstants,
+                        alpha_max: int) -> McResidualReport:
     """Check d w^{c,l;alpha} = -(1/2) f sum_beta w^{a,n;beta} w^{b,m;alpha-beta}.
 
     Rescaling power adds under the wedge and is kept by d, so the equations of
@@ -266,6 +267,7 @@ def verify_mc_equations(graded: GradedSeriesResult, f: StructureConstants, s: Sp
     if degree < alpha_max + 1:
         raise DegreeTooLow(f"degree {degree} cannot support order {alpha_max}; "
                            f"need degree >= {alpha_max + 1}")
+    window = graded.window
     bound = window.max_abs_mode
     series_den = lcm(*graded.denominators)
     lift = [series_den // den for den in graded.denominators]
@@ -337,14 +339,15 @@ class GradingReport:
     violations: list[tuple[LoopLabel, int, str]] = field(default_factory=list)
 
 
-def check_grading(graded: GradedSeriesResult, s: Splitting) -> GradingReport:
-    """Grading facts about the buckets, read from the splitting's order rule.
+def check_grading(graded: GradedSeriesResult) -> GradingReport:
+    """Grading facts about the buckets, read from ``graded.split``'s order rule.
 
     Every nonempty bucket power must be an existing order of its label.  A
     sector-0 label's power-0 bucket must hold only sector-0 factors and start
     with the bare differential; a sector-1 label's bare differential carries
     power 1, so the rule does not apply to it.
     """
+    s = graded.split
     report = GradingReport(ok=True)
     count = _sector_counts(s)
     for label, buckets in graded.by_label.items():

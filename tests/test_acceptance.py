@@ -114,7 +114,7 @@ def test_criterion_07_contraction_equivalence():
         f = builtin_algebra(name)
         contracted = iw_contract(f, COSET, window)
         expanded = build_named("G01", f, window)
-        match, diffs = compare_with_expansion(contracted, expanded, window)
+        match, diffs = compare_with_expansion(contracted, expanded)
         assert match and diffs == [], name
         odd = [LoopLabel(a, n) for n in window.modes() if n % 2
                for a in range(1, f.dim + 1)]
@@ -172,7 +172,7 @@ def test_criterion_10_structure_equation_residuals():
     series = canonical_form_series(EPS, window, 3)
     for split in (COSET, ZERO_MODE):
         graded = rescale_and_collect(series, split)
-        report = verify_mc_equations(graded, EPS, split, 2, window)
+        report = verify_mc_equations(graded, EPS, 2)
         assert report.ok and report.violations == []
         assert report.terms_checked > 0
     elapsed = time.monotonic() - start
@@ -191,12 +191,12 @@ def test_criterion_11_parity_and_leading_term():
             for power in gseries.powers():
                 if not gseries.bucket(power).is_zero:
                     assert power % 2 == label.mode % 2, (name, label, power)
-        assert check_grading(graded_coset, COSET).ok
+        assert check_grading(graded_coset).ok
         graded_zero = rescale_and_collect(series, ZERO_MODE)
         for label, gseries in fraction_graded(graded_zero).by_label.items():
             if label.mode != 0:
                 assert gseries.bucket(0).is_zero, (name, label)
-        assert check_grading(graded_zero, ZERO_MODE).ok
+        assert check_grading(graded_zero).ok
     _report(11, "parity grading and leading-power facts hold at D=4, M=2")
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from loopexp import ContractedAlgebra, LoopLabel
-from loopexp.cli import main
+from loopexp.cli import SETTINGS, main
 
 EPS_ARGS = ["--algebra", "epsilon3"]
 
@@ -230,6 +230,75 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+SWEEP_ONE_CELL = ["sweep", "-a", "epsilon3", "--n0-max", "0", "--n1-max", "0"]
+MC_SMALL = ["mc", "-a", "epsilon3", "--split", "mode_parity", "-M", "0"]
+SWEEP_PARITY = ["sweep", "-a", "epsilon3", "--split", "mode_parity", "-M", "0"]
+# Per settings-table field: its default (None: none, a usage error when
+# unset), a run that leaves it unset, the flag that sets it and the value the
+# report then shows, a file value and the value it shows, and where the report
+# shows it.
+SETTING_RUNS = {
+    "algebra": (None, ["validate"], ["-a", "solvable2"], "solvable2", "epsilon3",
+                "epsilon3", lambda r: r["algebra"]),
+    "split": (None, SWEEP_ONE_CELL, ["--split", "zero_mode"], "zero_mode", "mode_parity",
+              "mode_parity", lambda r: r["splitting"]["kind"]),
+    "v0_gens": (None, SWEEP_ONE_CELL + ["--split", "generic"], ["--v0-gens", "1"], [1],
+                [1, 2], [1, 2], lambda r: r["splitting"]["v0_gens"]),
+    "n0": (0, ["expand", "-a", "epsilon3", "--split", "zero_mode", "--n1", "1"],
+           ["--n0", "2"], 2, 1, 1, lambda r: r["n0"]),
+    "n1": (0, ["expand", "-a", "epsilon3", "--split", "zero_mode", "--n0", "1"],
+           ["--n1", "2"], 2, 1, 1, lambda r: r["n1"]),
+    "window": (1, ["contract", "-a", "epsilon3"], ["-M", "2"], 2, 0, 0, lambda r: r["window"]),
+    "degree": (4, MC_SMALL + ["--alpha-max", "1"], ["-D", "3"], 3, 2, 2,
+               lambda r: r["degree"]),
+    "alpha_max": (2, MC_SMALL + ["-D", "3"], ["--alpha-max", "1"], 1, 0, 0,
+                  lambda r: r["alpha_max"]),
+    "n0_max": (3, SWEEP_PARITY + ["--n1-max", "0"], ["--n0-max", "1"], 1, 2, 2,
+               lambda r: max(cell["n0"] for cell in r["cells"])),
+    "n1_max": (3, SWEEP_PARITY + ["--n0-max", "0"], ["--n1-max", "1"], 1, 2, 2,
+               lambda r: max(cell["n1"] for cell in r["cells"])),
+}
+
+
+def test_settings_table_holds_the_pinned_defaults():
+    assert SETTINGS == {name: row[0] for name, row in SETTING_RUNS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(SETTING_RUNS))
+def test_flag_beats_file_beats_settings_default(name, tmp_path):
+    default, argv, flag, flag_shown, file_value, file_shown, shown = SETTING_RUNS[name]
+    if name in ("split", "v0_gens"):
+        data = {"splitting": {"kind" if name == "split" else name: file_value}}
+    else:
+        data = {name: file_value}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out.json"
+
+    def report(*extra):
+        if out.exists():
+            out.unlink()
+        code = run(*argv, *extra, "--out", str(out))
+        return shown(read(out)) if code in (0, 1) else code
+
+    assert report(*flag, "--config", str(config)) == flag_shown
+    assert report("--config", str(config)) == file_shown
+    assert report() == (2 if default is None else default)
+
+
+def test_config_keys_outside_the_settings_table_are_ignored(tmp_path, capsys):
+    ignored = tmp_path / "ignored.json"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "algebra": "epsilon3", "splitting": {"kind": "mode_parity"}, "n0": 2, "n1": 1,
+        "out": str(ignored), "case": "G0", "format": "latex"}), encoding="utf-8")
+    assert run("expand", "--config", str(config)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["splitting"], payload["n0"], payload["n1"]) == (
+        {"kind": "mode_parity"}, 2, 1)
+    assert not ignored.exists()
+
+
 GENERIC_EXPAND = ["expand", "-a", "epsilon3", "--split", "generic"]
 ONE_ENTRY = {"a": 1, "b": 2, "c": 3, "value": "1"}
 
@@ -242,11 +311,13 @@ ONE_ENTRY = {"a": 1, "b": 2, "c": 3, "value": "1"}
     (GENERIC_EXPAND, {"splitting": {"v0_gens": [True]}}, None),
     (["validate", "-a", "{algebra}"], None, {"dim": True, "entries": []}),
     (["validate", "-a", "{algebra}"], None, {"dim": 3, "entries": [{**ONE_ENTRY, "a": True}]}),
+    (["validate", "-a", "{algebra}"], None, {"name": ["x"], "dim": 3, "entries": [ONE_ENTRY]}),
     (["sweep", "-a", "epsilon3"], {"splitting": {"kind": "nope"}}, None),
     (["sweep", "-a", "epsilon3"], {"splitting": {"kind": ["mode_parity"]}}, None),
     (["sweep", "-a", "epsilon3"], {"splitting": {"kind": "mode_parity", "v0_gens": [1]}}, None),
 ], ids=["string-window", "list-config", "negative-n0-max", "float-v0-gens", "bool-v0-gens",
-        "bool-dim", "bool-index", "unknown-kind", "list-kind", "v0-gens-on-mode-parity"])
+        "bool-dim", "bool-index", "list-name", "unknown-kind", "list-kind",
+        "v0-gens-on-mode-parity"])
 def test_malformed_config_is_usage_error(argv, config, algebra, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "run.json"

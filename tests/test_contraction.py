@@ -54,7 +54,7 @@ def test_contraction_matches_expansion_for_builtins():
             window = ModeWindow(m)
             contracted = iw_contract(f, COSET, window)
             expanded = build_named("G01", f, window)
-            match, diffs = compare_with_expansion(contracted, expanded, window)
+            match, diffs = compare_with_expansion(contracted, expanded)
             assert match and diffs == [], (name, m)
 
 
@@ -62,13 +62,13 @@ def test_comparison_requires_the_right_expansion():
     window = ModeWindow(1)
     contracted = iw_contract(EPS, COSET, window)
     with pytest.raises(ValueError):
-        compare_with_expansion(contracted, build_named("G21", EPS, window), window)
+        compare_with_expansion(contracted, build_named("G21", EPS, window))
     # The contraction must be on the parity coset too.
     for split in (make_splitting(SplitKind.ZERO_MODE_SUBALGEBRA),
                   make_splitting(SplitKind.GENERIC_INDEX, v0_gens={1}, dim=3)):
         with pytest.raises(ValueError):
             compare_with_expansion(ContractedAlgebra(EPS, split, window),
-                                   build_named("G01", EPS, window), window)
+                                   build_named("G01", EPS, window))
 
 
 class _Perturbed(ContractedAlgebra):
@@ -84,7 +84,7 @@ def test_perturbed_contraction_is_caught():
     window = ModeWindow(1)
     perturbed = _Perturbed(EPS, COSET, window)
     expanded = build_named("G01", EPS, window)
-    match, diffs = compare_with_expansion(perturbed, expanded, window)
+    match, diffs = compare_with_expansion(perturbed, expanded)
     assert not match
     assert len(diffs) == 1
     diff = diffs[0]
@@ -93,8 +93,8 @@ def test_perturbed_contraction_is_caught():
     # The verdict holds for every mode: at M = 0 the differing constant, which
     # needs mode 1, is not listed, but the comparison still fails.
     window = ModeWindow(0)
-    assert compare_with_expansion(_Perturbed(EPS, COSET, window), build_named("G01", EPS, window),
-                                  window) == (False, [])
+    assert compare_with_expansion(_Perturbed(EPS, COSET, window),
+                                  build_named("G01", EPS, window)) == (False, [])
 
 
 def test_contraction_preserves_jacobi():

@@ -160,7 +160,8 @@ def test_loader_rejects_decimal_value():
     {"dim": 3.0, "entries": []},
     {"dim": 3, "entries": [{"a": True, "b": 2, "c": 3, "value": "1"}]},
     {"dim": 3, "entries": [{"a": 1, "b": 2.0, "c": 3, "value": "1"}]},
-], ids=["bool-dim", "float-dim", "bool-index", "float-index"])
+    {"name": ["x"], "dim": 3, "entries": []},
+], ids=["bool-dim", "float-dim", "bool-index", "float-index", "list-name"])
 def test_loader_rejects_bool_and_non_integer_fields(data):
     with pytest.raises(ValueError):
         algebra_from_dict(data)

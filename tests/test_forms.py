@@ -305,28 +305,28 @@ def test_lambda_one_resummation_identity():
 
 def test_grading_checker_accepts_engine_output():
     series = canonical_form_series(EPS, ModeWindow(1), 3)
-    assert check_grading(rescale_and_collect(series, COSET), COSET).ok
-    assert check_grading(rescale_and_collect(series, ZERO_MODE), ZERO_MODE).ok
+    assert check_grading(rescale_and_collect(series, COSET)).ok
+    assert check_grading(rescale_and_collect(series, ZERO_MODE)).ok
     # A sector-1 label's power-0 bucket lacks the bare differential, which
     # carries power 1; the generic split must not flag it.
-    assert check_grading(rescale_and_collect(series, GENERIC12), GENERIC12).ok
+    assert check_grading(rescale_and_collect(series, GENERIC12)).ok
 
 
 def test_grading_checker_flags_doctored_bucket():
     bad_bucket = {0: store_poly(((), LoopLabel(1, 1), 1))}
     doctored = GradedSeriesResult({LoopLabel(1, 1): bad_bucket}, EPS_DENOMINATORS[:2], 2,
                                   ModeWindow(1), COSET, 0)
-    report = check_grading(doctored, COSET)
+    report = check_grading(doctored)
     assert not report.ok
     doctored_z = GradedSeriesResult({LoopLabel(1, 1): bad_bucket}, EPS_DENOMINATORS[:2], 2,
                                     ModeWindow(1), ZERO_MODE, 0)
-    assert not check_grading(doctored_z, ZERO_MODE).ok
+    assert not check_grading(doctored_z).ok
     # A power-0 term whose differential is sector 0 but whose coordinates are not.
     mixed = {0: store_poly(((), LoopLabel(1, 0), 1),
                            ((LoopLabel(2, 1), LoopLabel(3, -1)), LoopLabel(1, 0), 1))}
     doctored_m = GradedSeriesResult({LoopLabel(1, 0): mixed}, EPS_DENOMINATORS[:3], 3,
                                     ModeWindow(1), ZERO_MODE, 0)
-    assert check_grading(doctored_m, ZERO_MODE).violations == [
+    assert check_grading(doctored_m).violations == [
         (LoopLabel(1, 0), 0, "power-0 term with a sector-1 factor")]
 
 
@@ -363,7 +363,7 @@ def test_grading_matches_kind_branch_oracle_on_doctored_buckets(split, data):
     doctored = GradedSeriesResult(
         {**graded.by_label, label: dict(sorted(buckets.items()))},
         graded.denominators, graded.degree, graded.window, split, graded.censored)
-    assert (_flagged(check_grading(doctored, split).violations)
+    assert (_flagged(check_grading(doctored).violations)
             == _flagged(kind_branch_grading(doctored, split)))
 
 
@@ -377,7 +377,7 @@ def test_grading_flags_sector0_power0_bucket_without_unit_term(split):
     by_power = {**graded.by_label[label], 0: stripped}
     doctored = GradedSeriesResult({**graded.by_label, label: by_power}, graded.denominators,
                                   graded.degree, graded.window, split, graded.censored)
-    report = check_grading(doctored, split)
+    report = check_grading(doctored)
     assert report.violations == [(label, 0, "missing unit differential term")]
     assert kind_branch_grading(doctored, split) == []
 
@@ -390,7 +390,7 @@ def test_degree_too_low():
     series = canonical_form_series(EPS, ModeWindow(1), 2)
     graded = rescale_and_collect(series, COSET)
     with pytest.raises(DegreeTooLow):
-        verify_mc_equations(graded, EPS, COSET, 2, ModeWindow(1))
+        verify_mc_equations(graded, EPS, 2)
 
 
 def test_abelian_residuals_vanish():
@@ -398,7 +398,7 @@ def test_abelian_residuals_vanish():
     series = canonical_form_series(ABELIAN, ModeWindow(1), 3)
     for split in (COSET, ZERO_MODE):
         graded = rescale_and_collect(series, split)
-        report = verify_mc_equations(graded, ABELIAN, split, 2, ModeWindow(1))
+        report = verify_mc_equations(graded, ABELIAN, 2)
         assert report.ok and report.violations == []
         assert report.targets_checked > 0
 
@@ -408,7 +408,7 @@ def test_epsilon_residuals_vanish_both_splittings():
     series = canonical_form_series(EPS, window, 3)
     for split in (COSET, ZERO_MODE):
         graded = rescale_and_collect(series, split)
-        report = verify_mc_equations(graded, EPS, split, 2, window)
+        report = verify_mc_equations(graded, EPS, 2)
         assert report.ok
         assert report.terms_checked > 0
         assert report.violations == []
@@ -418,7 +418,7 @@ def test_generic_split_residuals_vanish():
     window = ModeWindow(1)
     split = make_splitting(SplitKind.GENERIC_INDEX, v0_gens={1, 2}, dim=3)
     graded = rescale_and_collect(canonical_form_series(EPS, window, 3), split)
-    assert verify_mc_equations(graded, EPS, split, 2, window).ok
+    assert verify_mc_equations(graded, EPS, 2).ok
 
 
 def test_order_zero_equation_reproduced_from_zero_mode_buckets():
@@ -491,7 +491,7 @@ def test_residual_pass_matches_legacy_oracle(name, kind, window, degree, data):
         window, degree = min(window, 1), min(degree, 3)
     alpha_max = data.draw(st.integers(0, degree - 1))
     f, split, graded = _graded(name, kind, window, degree)
-    new = verify_mc_equations(graded, f, split, alpha_max, ModeWindow(window))
+    new = verify_mc_equations(graded, f, alpha_max)
     old = legacy_verify_mc_equations(fraction_graded(graded), f, split, alpha_max,
                                      ModeWindow(window))
     assert new.ok == old.ok
@@ -501,7 +501,7 @@ def test_residual_pass_matches_legacy_oracle(name, kind, window, degree, data):
 
 def test_residual_pass_reports_raw_tensor_violations_like_the_oracle():
     f, split, graded = _graded("raw", SplitKind.MODE_PARITY_COSET, 1, 3)
-    new = verify_mc_equations(graded, f, split, 2, ModeWindow(1))
+    new = verify_mc_equations(graded, f, 2)
     assert not new.ok
     assert list(map(fraction_residual, new.violations)) == legacy_verify_mc_equations(
         fraction_graded(graded), f, split, 2, ModeWindow(1)).violations
