@@ -14,7 +14,7 @@ from .expansion import (ClosureCell, ClosureQuotient, ClosureReport, ClosureViol
 from .loop import (LoopLabel, ModeWindow, enumerate_generators, jacobi_residuals,
                    loop_bracket, loop_structure_constant)
 from .mcforms import (DegreeTooLow, FormPolynomial, GradedSeriesResult, InvalidDegree,
-                      McResidualReport, McResidualTerm, SeriesResult,
+                      InvalidOrder, McResidualReport, McResidualTerm, SeriesResult,
                       canonical_form_series, check_grading, graded_series_json,
                       monomial_json, rescale_and_collect, verify_mc_equations)
 from .splitting import (InvalidParams, SplitCheckReport, SplitKind, Splitting,

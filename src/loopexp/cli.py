@@ -170,7 +170,7 @@ def _resolve_expansion(args: argparse.Namespace, f: StructureConstants,
     if args.case:
         return build_named(args.case, f, window)
     split = _make_split(args, f.dim)
-    return ExpandedAlgebra.build(f, split, args.n0, args.n1, window)
+    return ExpandedAlgebra(f, split, args.n0, args.n1, window)
 
 
 def _retained_brackets(alg: ExpandedAlgebra):
@@ -217,45 +217,42 @@ def cmd_expand(args: argparse.Namespace) -> int:
     alg = _resolve_expansion(args, f, window)
     closure = alg.closure_report()
     jacobi = alg.jacobi_report() if closure.closed else None
-    payload = {
-        "algebra": f.name or args.algebra,
-        "splitting": split_to_dict(alg.split),
-        "n0": alg.n0,
-        "n1": alg.n1,
-        "window": window.max_abs_mode,
-        "generators": [_label_json(g) for g in alg.generators],
-        "closed": closure.closed,
-        "window_censored": closure.window_censored,
-        "closure_violations": [
-            {"pair": [_label_json(v.pair[0]), _label_json(v.pair[1])],
-             "target": _label_json(v.target),
-             "missing": _label_json(v.missing),
-             "coefficient": format_rational(v.coefficient)}
-            for v in closure.violations],
-        "jacobi": (None if jacobi is None else
-                   {"ok": jacobi.ok,
-                    "triples_checked": jacobi.triples_checked,
-                    "residuals": [
-                        {"x": _label_json(r.x), "y": _label_json(r.y),
-                         "z": _label_json(r.z), "target": _label_json(r.target),
-                         "value": format_rational(r.value)}
-                        for r in jacobi.residuals]}),
-        "constants": _constants_json(alg),
-    }
     if args.format == "latex":
         _emit([_latex_tables(alg)], args.out)
     else:
-        _emit_json(payload, args.out)
+        _emit_json({
+            "algebra": f.name or args.algebra,
+            "splitting": split_to_dict(alg.split),
+            "n0": alg.n0,
+            "n1": alg.n1,
+            "window": window.max_abs_mode,
+            "generators": [_label_json(g) for g in alg.generators],
+            "closed": closure.closed,
+            "window_censored": closure.window_censored,
+            "closure_violations": [
+                {"pair": [_label_json(v.pair[0]), _label_json(v.pair[1])],
+                 "target": _label_json(v.target),
+                 "missing": _label_json(v.missing),
+                 "coefficient": format_rational(v.coefficient)}
+                for v in closure.violations],
+            "jacobi": (None if jacobi is None else
+                       {"ok": jacobi.ok,
+                        "triples_checked": jacobi.triples_checked,
+                        "residuals": [
+                            {"x": _label_json(r.x), "y": _label_json(r.y),
+                             "z": _label_json(r.z), "target": _label_json(r.target),
+                             "value": format_rational(r.value)}
+                            for r in jacobi.residuals]}),
+            "constants": _constants_json(alg),
+        }, args.out)
     return 0 if closure.closed and jacobi is not None and jacobi.ok else 1
 
 
 def cmd_contract(args: argparse.Namespace) -> int:
     f = _load_algebra_spec(args.algebra)
     window = ModeWindow(args.window)
-    split = make_splitting(SplitKind.MODE_PARITY_COSET)
-    contracted = iw_contract(f, split, window)
-    expanded = build_named("G01", f, window)
-    match, diffs = compare_with_expansion(contracted, expanded)
+    contracted = iw_contract(f, make_splitting(SplitKind.MODE_PARITY_COSET), window)
+    match, diffs = compare_with_expansion(contracted)
     payload = {
         "algebra": f.name or args.algebra,
         "window": window.max_abs_mode,

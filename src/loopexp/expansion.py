@@ -69,46 +69,29 @@ def make_label(s: Splitting, gen: int, mode: int, order: int) -> ExpandedLabel |
     return ExpandedLabel(gen, mode, order, s.sector(label))
 
 
-def _require_admissible(f: StructureConstants, s: Splitting, label: ExpandedLabel) -> None:
-    f._check_index(label.gen)
-    loop_label = LoopLabel(label.gen, label.mode)
-    if label.sector != s.sector(loop_label):
-        raise InadmissibleLabel(f"sector tag of {label} does not match the splitting")
-    if not s.exists(loop_label, label.order):
-        raise InadmissibleLabel(f"{label} does not exist under {s.kind.value}")
+def _admissible(s: Splitting, label: ExpandedLabel) -> bool:
+    """Whether ``label`` exists under ``s`` with its own sector tag: whether
+    :func:`make_label` rebuilds it."""
+    return make_label(s, label.gen, label.mode, label.order) == label
 
 
 def expanded_constant(f: StructureConstants, s: Splitting, x: ExpandedLabel,
                       y: ExpandedLabel, z: ExpandedLabel) -> Fraction:
     """delta_{beta+gamma}^alpha delta_{n+m}^l f_{ab}^c."""
     for label in (x, y, z):
-        _require_admissible(f, s, label)
+        f._check_index(label.gen)
+        if not _admissible(s, label):
+            raise InadmissibleLabel(f"{label} is not an admissible label under {s.kind.value}")
     if z.order != x.order + y.order or z.mode != x.mode + y.mode:
         return Fraction(0)
     return f.entry(x.gen, y.gen, z.gen)
 
 
-def retained_at(f: StructureConstants, s: Splitting, n0: int, n1: int,
-                mode: int) -> list[ExpandedLabel]:
-    """The admissible labels for (s, n0, n1) at one mode, by generator and order."""
-    labels = []
-    for a in range(1, f.dim + 1):
-        loop_label = LoopLabel(a, mode)
-        sector = s.sector(loop_label)
-        labels.extend(ExpandedLabel(a, mode, alpha, sector)
-                      for alpha in range((n0, n1)[sector] + 1)
-                      if s.exists(loop_label, alpha))
-    return labels
-
-
 def generator_set(f: StructureConstants, s: Splitting, n0: int, n1: int,
                   window: ModeWindow) -> list[ExpandedLabel]:
-    """All admissible labels for (s, n0, n1) with windowed modes, in canonical order."""
-    if n0 < 0 or n1 < 0:
-        raise ValueError("truncation orders must be non-negative")
-    labels = [label for n in window.modes() for label in retained_at(f, s, n0, n1, n)]
-    labels.sort(key=expanded_key)
-    return labels
+    """All retained labels for (s, n0, n1) with windowed modes, in canonical order."""
+    alg = ExpandedAlgebra(f, s, n0, n1, window)
+    return sorted((label for n in window.modes() for label in alg.labels_at(n)), key=expanded_key)
 
 
 class ClosureViolation(NamedTuple):
@@ -191,26 +174,22 @@ class ClosureQuotient:
                            censored)
 
 
-def _closure_witnesses(f: StructureConstants, s: Splitting, n0: int, n1: int,
-                       window: ModeWindow) -> list[ClosureViolation]:
+def _closure_witnesses(alg: ExpandedAlgebra) -> list[ClosureViolation]:
     """Every violation whose three modes lie in the window, in scan order."""
-    bound = window.max_abs_mode
+    s, window = alg.split, alg.window
     violations = []
-    for z in generator_set(f, s, n0, n1, window):
-        for a, b, v in f.pairs_into(z.gen):
+    for z in alg.generators:
+        for a, b, v in alg.base.pairs_into(z.gen):
             for beta in range(z.order + 1):
-                gamma = z.order - beta
                 for n in window.modes():
-                    m = z.mode - n
-                    if abs(m) > bound:
+                    if not window.contains(z.mode - n):
                         continue
                     x = make_label(s, a, n, beta)
-                    y = make_label(s, b, m, gamma)
+                    y = make_label(s, b, z.mode - n, z.order - beta)
                     if x is None or y is None:
                         continue
-                    # Both labels exist, so retention is the order cap alone.
                     for source in (x, y):
-                        if source.order > (n0, n1)[source.sector]:
+                        if not alg.contains(source):
                             violations.append(ClosureViolation((x, y), z, source, v))
     return violations
 
@@ -228,7 +207,8 @@ def check_closure(f: StructureConstants, s: Splitting, n0: int, n1: int,
     m = l - n leaves it.
     """
     cell = ClosureQuotient(f, s, window).cell(n0, n1)
-    violations = [] if cell.closed else _closure_witnesses(f, s, n0, n1, window)
+    violations = ([] if cell.closed else
+                  _closure_witnesses(ExpandedAlgebra(f, s, n0, n1, window)))
     return ClosureReport(cell.closed, violations, cell.window_censored)
 
 
@@ -249,58 +229,70 @@ class ExpandedJacobiReport:
 
 
 def check_jacobi_expanded(f: StructureConstants, s: Splitting, n0: int, n1: int,
-                          window: ModeWindow, closure: ClosureReport | None = None
-                          ) -> ExpandedJacobiReport:
+                          window: ModeWindow) -> ExpandedJacobiReport:
     """Cyclic Jacobi check with the truncation quotient applied to intermediates.
 
-    Requires closure first; raises NotClosed otherwise (``closure`` is this
-    truncation's report, if already computed).  The check uses
+    Requires closure first; raises NotClosed otherwise.  The check uses
     :meth:`ExpandedAlgebra.bracket`, so intermediates above the truncation
     orders vanish, and takes its verdict from the splitting's representative
     triples; the residual rows are those of the windowed triples.
     """
-    if closure is None:
-        closure = check_closure(f, s, n0, n1, window)
+    closure = check_closure(f, s, n0, n1, window)
     if not closure.closed:
         raise NotClosed(f"truncation ({n0},{n1}) is not closed; "
                         f"{len(closure.violations)} violations")
-    alg = ExpandedAlgebra.build(f, s, n0, n1, window)
+    alg = ExpandedAlgebra(f, s, n0, n1, window)
     rows, checked, skipped = class_jacobi_sweep(
-        alg.generators, lambda mode: retained_at(f, s, n0, n1, mode), alg.bracket,
-        s.representatives.triples, window.max_abs_mode)
+        alg.generators, alg.labels_at, alg.bracket, s.representatives.triples,
+        window.max_abs_mode)
     residuals = [JacobiResidual(*r) for r in rows]
     return ExpandedJacobiReport(not residuals, residuals, checked, skipped)
 
 
 @dataclass(frozen=True)
 class ExpandedAlgebra:
-    """Generator set plus closed-form structure-constant evaluator."""
+    """A truncation (f, s, n0, n1) with its windowed generators and its
+    closed-form structure-constant evaluator."""
 
     base: StructureConstants
     split: Splitting
     n0: int
     n1: int
     window: ModeWindow
-    generators: tuple[ExpandedLabel, ...]
 
-    @classmethod
-    def build(cls, f: StructureConstants, s: Splitting, n0: int, n1: int,
-              window: ModeWindow) -> "ExpandedAlgebra":
-        return cls(f, s, n0, n1, window,
-                   tuple(generator_set(f, s, n0, n1, window)))
+    def __post_init__(self) -> None:
+        if self.n0 < 0 or self.n1 < 0:
+            raise ValueError("truncation orders must be non-negative")
+
+    @cached_property
+    def generators(self) -> tuple[ExpandedLabel, ...]:
+        """The retained labels with windowed modes, in canonical order."""
+        return tuple(generator_set(self.base, self.split, self.n0, self.n1, self.window))
+
+    def label_at(self, gen: int, mode: int, order: int) -> ExpandedLabel | None:
+        """The retained label at (gen, mode; order): the admissible one, if its
+        order is at most its sector's truncation order; else None."""
+        label = make_label(self.split, gen, mode, order)
+        return None if label is None or order > (self.n0, self.n1)[label.sector] else label
+
+    def labels_at(self, mode: int) -> list[ExpandedLabel]:
+        """The retained labels at one mode, in or out of the window, by
+        generator and order."""
+        labels = (self.label_at(a, mode, order) for a in range(1, self.base.dim + 1)
+                  for order in range(max(self.n0, self.n1) + 1))
+        return [label for label in labels if label is not None]
 
     def contains(self, label: ExpandedLabel) -> bool:
-        """Structural existence plus the truncation-order bound (window-free)."""
-        loop_label = LoopLabel(label.gen, label.mode)
-        return (self.split.exists(loop_label, label.order)
-                and label.order <= (self.n0, self.n1)[self.split.sector(loop_label)])
+        """Whether ``label`` is retained, at any mode: whether :meth:`label_at`
+        rebuilds it, which asks that it be admissible and within its order."""
+        return self.label_at(label.gen, label.mode, label.order) == label
 
     def bracket(self, x: ExpandedLabel, y: ExpandedLabel) -> dict[ExpandedLabel, Fraction]:
         """The retained terms of [x, y]; terms above the truncation orders vanish."""
         out = {}
         for c, v in self.base.pair_targets(x.gen, y.gen):
-            z = make_label(self.split, c, x.mode + y.mode, x.order + y.order)
-            if z is not None and z.order <= (self.n0, self.n1)[z.sector]:
+            z = self.label_at(c, x.mode + y.mode, x.order + y.order)
+            if z is not None:
                 out[z] = v
         return out
 
@@ -311,17 +303,11 @@ class ExpandedAlgebra:
                                         f"({self.n0},{self.n1})")
         return expanded_constant(self.base, self.split, x, y, z)
 
-    @cached_property
-    def _closure(self) -> ClosureReport:
+    def closure_report(self) -> ClosureReport:
         return check_closure(self.base, self.split, self.n0, self.n1, self.window)
 
-    def closure_report(self) -> ClosureReport:
-        """This truncation's closure report, computed once."""
-        return self._closure
-
     def jacobi_report(self) -> ExpandedJacobiReport:
-        return check_jacobi_expanded(self.base, self.split, self.n0, self.n1, self.window,
-                                     closure=self._closure)
+        return check_jacobi_expanded(self.base, self.split, self.n0, self.n1, self.window)
 
 
 NAMED_CASES: dict[str, tuple[SplitKind, int, int]] = {
@@ -340,4 +326,4 @@ def build_named(case_id: str, f: StructureConstants, window: ModeWindow) -> Expa
     except KeyError:
         raise UnknownCase(f"unknown case {case_id!r}; choices: {sorted(NAMED_CASES)}")
     split = make_splitting(kind)
-    return ExpandedAlgebra.build(f, split, n0, n1, window)
+    return ExpandedAlgebra(f, split, n0, n1, window)

@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from typing import TYPE_CHECKING, Callable, Hashable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -44,7 +45,7 @@ class ModeWindow:
     max_abs_mode: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_abs_mode, int) or self.max_abs_mode < 0:
+        if type(self.max_abs_mode) is not int or self.max_abs_mode < 0:
             raise ValueError(f"window bound must be a non-negative integer, "
                              f"got {self.max_abs_mode!r}")
 
@@ -138,6 +139,16 @@ def sweep_counts(per_mode: dict[int, int], bound: int) -> tuple[int, int]:
     return checked, skipped
 
 
+def _label_triples(xs: Sequence, ys: Sequence, zs: Sequence) -> Iterator[tuple]:
+    """The triples of ``xs × ys × zs``; when the three are one list, one
+    triple per rotation orbit, since the cyclic sum is the same at each."""
+    if xs is ys is zs:
+        turns = ((i, j, k) for i, j, k in product(range(len(xs)), repeat=3)
+                 if (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j))
+        return ((xs[i], xs[j], xs[k]) for i, j, k in turns)
+    return product(xs, ys, zs)
+
+
 def class_jacobi_sweep(labels: Sequence, labels_at: Callable[[int], Sequence],
                        bracket: Callable[[Hashable, Hashable], dict],
                        triples: Sequence[tuple[int, int, int]], bound: int
@@ -154,8 +165,8 @@ def class_jacobi_sweep(labels: Sequence, labels_at: Callable[[int], Sequence],
     """
     row = cache(bracket)
     at = {mode: labels_at(mode) for triple in triples for mode in triple}
-    defect = any(any(_cyclic_sum(row, x, y, z).values()) for n, m, l in triples
-                 for x in at[n] for y in at[m] for z in at[l])
+    defect = any(any(_cyclic_sum(row, *labels).values()) for n, m, l in triples
+                 for labels in _label_triples(at[n], at[m], at[l]))
     rows = jacobi_sweep(labels, bracket, bound) if defect else []
     return (rows, *sweep_counts(Counter(label.mode for label in labels), bound))
 

@@ -56,6 +56,10 @@ class InvalidDegree(ValueError):
     """The series degree must be at least 1."""
 
 
+class InvalidOrder(ValueError):
+    """The highest graded order to verify must be a non-negative integer."""
+
+
 class DegreeTooLow(ValueError):
     """The series was not computed deep enough for the requested order."""
 
@@ -124,7 +128,7 @@ def canonical_form_series(f: StructureConstants, window: ModeWindow, degree: int
     comes from the k-fold nested bracket with prefactor 1/(k+1)!.  Bracket
     targets whose mode leaves the window are dropped and counted as censored.
     """
-    if not isinstance(degree, int) or degree < 1:
+    if type(degree) is not int or degree < 1:
         raise InvalidDegree(f"series degree must be a positive integer, got {degree!r}")
     coords = enumerate_generators(f, window)
     bound = window.max_abs_mode
@@ -263,6 +267,8 @@ def verify_mc_equations(graded: GradedSeriesResult, f: StructureConstants,
     and are never formed.  Formed terms failing :func:`residual_term_safe` are
     censored; every other one must vanish exactly.
     """
+    if type(alpha_max) is not int or alpha_max < 0:
+        raise InvalidOrder(f"alpha_max must be a non-negative integer, got {alpha_max!r}")
     degree = graded.degree
     if degree < alpha_max + 1:
         raise DegreeTooLow(f"degree {degree} cannot support order {alpha_max}; "

@@ -161,7 +161,7 @@ def make_splitting(kind: SplitKind, *, v0_gens=None, dim: int | None = None) -> 
         if dim is None:
             raise InvalidParams("generic splitting requires the algebra dimension")
         gens = frozenset(v0_gens)
-        if any(not isinstance(g, int) or not 1 <= g <= dim for g in gens):
+        if any(type(g) is not int or not 1 <= g <= dim for g in gens):
             raise InvalidParams(f"v0_gens {sorted(gens)} not within 1..{dim}")
         if len(gens) >= dim:
             raise InvalidParams("v0_gens must be a proper subset of the generators")

@@ -610,7 +610,7 @@ def windowed_check_jacobi_expanded(f, s, n0, n1, window):
     if not closure.closed:
         raise NotClosed(f"truncation ({n0},{n1}) is not closed; "
                         f"{len(closure.violations)} violations")
-    alg = ExpandedAlgebra.build(f, s, n0, n1, window)
+    alg = ExpandedAlgebra(f, s, n0, n1, window)
     rows, checked, skipped = windowed_jacobi_sweep(alg.generators, alg.bracket,
                                                    window.max_abs_mode)
     residuals = [JacobiResidual(*r) for r in rows]

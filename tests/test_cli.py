@@ -108,11 +108,30 @@ def test_expand_latex_output(tmp_path):
     assert "% orders (1, 1)" in text
 
 
+def test_expand_latex_builds_no_json_payload(tmp_path, monkeypatch):
+    def refuse(alg):
+        raise AssertionError("the JSON constants table was built for LaTeX output")
+
+    monkeypatch.setattr("loopexp.cli._constants_json", refuse)
+    assert run("expand", *EPS_ARGS, "--case", "G21", "--window", "1",
+               "--format", "latex", "--out", str(tmp_path / "tables.tex")) == 0
+
+
 def test_contract_matches(tmp_path):
     out = tmp_path / "contract.json"
     assert run("contract", *EPS_ARGS, "--window", "2", "--out", str(out)) == 0
     payload = read(out)
     assert payload["match"] is True and payload["diffs"] == []
+
+
+def test_contract_builds_no_generator_set(tmp_path, monkeypatch):
+    # The comparison reads brackets, so the expansion's windowed generators,
+    # derived on first use, are never listed.
+    def refuse(*args):
+        raise AssertionError("a generator set was built")
+
+    monkeypatch.setattr("loopexp.expansion.generator_set", refuse)
+    assert run("contract", *EPS_ARGS, "--window", "2", "--out", str(tmp_path / "c.json")) == 0
 
 
 def test_contract_abelian(tmp_path):

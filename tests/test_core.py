@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from loopexp import (ContradictoryEntries, IndexOutOfRange, StructureConstants,
-                     algebra_from_dict, builtin_algebra, load_algebra, validate)
+from loopexp import (ContradictoryEntries, IndexOutOfRange, InvalidDegree, InvalidParams,
+                     ModeWindow, SplitKind, StructureConstants, algebra_from_dict,
+                     builtin_algebra, canonical_form_series, load_algebra, make_splitting,
+                     validate)
 from loopexp.algebra import BUILTIN_NAMES, parse_rational
 
 from helpers_oracles import (algebra_to_dict, oracle_jacobi_clean, oracle_jacobi_defects,
@@ -175,6 +177,16 @@ def test_constructor_rejects_bool_fields():
         StructureConstants(2, {(True, 2, 1): 1})
     with pytest.raises(IndexOutOfRange):
         EPS.entry(True, 2, 3)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ModeWindow(True), ValueError),
+    (lambda: canonical_form_series(EPS, ModeWindow(1), True), InvalidDegree),
+    (lambda: make_splitting(SplitKind.GENERIC_INDEX, v0_gens={True}, dim=3), InvalidParams),
+], ids=["window", "degree", "v0_gens"])
+def test_integer_arguments_refuse_bools(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_algebra_file_round_trip(tmp_path):

@@ -115,6 +115,17 @@ def test_generators_zero_mode_g1():
     assert len([l for l in labels if l.order == 1]) == 9
 
 
+def test_expanded_algebra_derives_its_generators_from_its_orders():
+    window = ModeWindow(1)
+    for n0, n1 in ((0, 0), (2, 1), (1, 3)):
+        alg = ExpandedAlgebra(EPS, COSET, n0, n1, window)
+        assert alg.generators == tuple(generator_set(EPS, COSET, n0, n1, window))
+    # Negative orders are refused when the truncation is made, not on first use.
+    for n0, n1 in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            ExpandedAlgebra(EPS, COSET, n0, n1, window)
+
+
 # ---------------------------------------------------------------------------
 # closure
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopexp import (DegreeTooLow, FormPolynomial, GradedSeriesResult, InvalidDegree,
-                     LoopLabel, ModeWindow, SplitKind, StructureConstants,
+                     InvalidOrder, LoopLabel, ModeWindow, SplitKind, StructureConstants,
                      algebra_from_dict, builtin_algebra, canonical_form_series,
                      check_grading, graded_series_json, make_splitting,
                      rescale_and_collect, verify_mc_equations)
@@ -391,6 +391,14 @@ def test_degree_too_low():
     graded = rescale_and_collect(series, COSET)
     with pytest.raises(DegreeTooLow):
         verify_mc_equations(graded, EPS, 2)
+
+
+@pytest.mark.parametrize("alpha_max", [-1, True, 1.0, "1"])
+def test_alpha_max_must_be_a_non_negative_integer(alpha_max):
+    # A negative order once gave ok=True with no target and no term checked.
+    graded = rescale_and_collect(canonical_form_series(EPS, ModeWindow(1), 3), COSET)
+    with pytest.raises(InvalidOrder):
+        verify_mc_equations(graded, EPS, alpha_max)
 
 
 def test_abelian_residuals_vanish():

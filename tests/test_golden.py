@@ -132,6 +132,17 @@ GOLDEN = {
     "gl3-generic-expand": (["expand", "-a", "{gl3}", "--split", "generic", "--v0-gens", "1,2",
                             "--n0", "1", "--n1", "1", "-M", "1"], 0,
                            "72bd3863ed3748428acfac7483133739302c6eb7e3c78f7601c8e654e7a7f985"),
+    # Non-closed truncations, so closure_violations is nonempty (24, 24 and 28
+    # witnesses); frozen before the retention rule was written once.
+    "eps-coset-open-expand": (["expand", "-a", "epsilon3", "--split", "mode_parity",
+                               "--n0", "0", "--n1", "3", "-M", "1"], 1,
+                              "23e28c934f1c031e25dd8744e11b35e2aea3b8b0351a57f3baff42893e04b1a0"),
+    "eps-zero-open-expand": (["expand", "-a", "epsilon3", "--split", "zero_mode",
+                              "--n0", "0", "--n1", "2", "-M", "1"], 1,
+                             "304b2773f16f0b1c70b2bc0fd9dbcfa5b8db269cbedaa3d700ddae950bd38bce"),
+    "eps-generic-open-expand": (["expand", "-a", "epsilon3", "--split", "generic",
+                                 "--v0-gens", "1,2", "--n0", "0", "--n1", "1", "-M", "1"], 1,
+                                "2d000bc696c573c857f3c2bcaa798f221aafe4e83d26fd0352fa59326a198793"),
     # The mc call of the mc-residual benchmark workload: a 10 MB report.
     "mc-large": (["mc", "-a", "epsilon3", "--split", "mode_parity", "-D", "5",
                   "--alpha-max", "2", "-M", "2"], 0,
