@@ -87,6 +87,13 @@ def expanded_constant(f: StructureConstants, s: Splitting, x: ExpandedLabel,
     return f.entry(x.gen, y.gen, z.gen)
 
 
+def _check_orders(n0: int, n1: int) -> None:
+    """Refuse truncation orders that are not non-negative integers; a bool is
+    refused too, as :class:`~loopexp.loop.ModeWindow` refuses it."""
+    if any(type(n) is not int or n < 0 for n in (n0, n1)):
+        raise ValueError(f"truncation orders must be non-negative integers, got {n0!r}, {n1!r}")
+
+
 def generator_set(f: StructureConstants, s: Splitting, n0: int, n1: int,
                   window: ModeWindow) -> list[ExpandedLabel]:
     """All retained labels for (s, n0, n1) with windowed modes, in canonical order."""
@@ -161,8 +168,7 @@ class ClosureQuotient:
         return count
 
     def cell(self, n0: int, n1: int) -> ClosureCell:
-        if n0 < 0 or n1 < 0:
-            raise ValueError("truncation orders must be non-negative")
+        _check_orders(n0, n1)
         caps = (n0, n1)
         counts = {pattern: self._violations(caps, *pattern) for pattern in self.patterns}
         lowest, step = self.rule
@@ -261,8 +267,7 @@ class ExpandedAlgebra:
     window: ModeWindow
 
     def __post_init__(self) -> None:
-        if self.n0 < 0 or self.n1 < 0:
-            raise ValueError("truncation orders must be non-negative")
+        _check_orders(self.n0, self.n1)
 
     @cached_property
     def generators(self) -> tuple[ExpandedLabel, ...]:

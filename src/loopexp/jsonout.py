@@ -7,6 +7,12 @@ only what reports hold: dicts with str keys, lists and tuples, str, int, bool
 and None; anything else raises ``TypeError``.  Strings go through the C
 ``encode_basestring_ascii``, and the text of a flat int list, such as a
 label or a monomial factor, is rendered once per depth and values.
+
+A value whose producer can write its text faster than this walk, such as the
+``mc`` report's series, may be handed in pre-rendered as a :class:`Fragment`:
+its chunks are spliced in as they are.  Indentation depends on depth, so a
+fragment states the depth it was rendered for, and one placed at any other
+depth raises ``ValueError`` before anything is written.
 """
 
 from __future__ import annotations
@@ -19,6 +25,17 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
             bool: lambda value: "true" if value else "false",
             type(None): lambda value: "null"}
 _INT_ONLY = {int}
+
+
+class Fragment:
+    """Pre-rendered text of one value: ``chunks`` concatenate to its
+    ``json.dumps(sort_keys=True, indent=2)`` text when it sits at ``depth``."""
+
+    __slots__ = ("depth", "chunks")
+
+    def __init__(self, depth: int, chunks: list[str]) -> None:
+        self.depth = depth
+        self.chunks = chunks
 
 
 def json_chunks(value) -> list[str]:
@@ -64,6 +81,12 @@ def json_chunks(value) -> list[str]:
                 emit(separator, item, depth + 1)
                 separator = "," + inner
             append(close + "]")
+        elif type(value) is Fragment:
+            if value.depth != depth:
+                raise ValueError(f"a fragment rendered for depth {value.depth} "
+                                 f"sits at depth {depth}")
+            append(head)
+            chunks.extend(value.chunks)
         elif isinstance(value, str):
             append(head + encode_basestring_ascii(value))
         elif isinstance(value, int):

@@ -19,8 +19,9 @@ factor and the monomial a sorted tuple of such factors, so the natural tuple
 order is the canonical label order (mode-major, then generator).  Its value is
 an integer numerator over the series' denominator for the monomial's degree k,
 ``F**k (k+1)!``, with F the lcm of the structure-constant denominators.  A
-``Fraction`` is made only for an emitted coefficient and for a nonzero
-residual.
+``Fraction`` is made only for a nonzero residual and for the report text of a
+coefficient, once per distinct (numerator, degree).  The report's ``series``
+text is rendered straight from the store by :func:`graded_series_json`.
 
 Mode-window censoring: a term is trustworthy only if every partial mode sum of
 its factors stays inside the window (the recursion would otherwise have dropped
@@ -44,10 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from math import factorial, lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .algebra import StructureConstants, format_rational
+from .jsonout import Fragment
 from .loop import LoopLabel, ModeWindow, enumerate_generators, label_key
 from .splitting import Splitting
 
@@ -374,23 +377,59 @@ def check_grading(graded: GradedSeriesResult) -> GradingReport:
     return report
 
 
-def graded_series_json(graded: GradedSeriesResult) -> list[dict]:
-    """Canonical dump: per label, buckets of {power, terms} rows.  The terms
-    of one monomial share its factor list."""
-    factors: dict[Monomial, list[list[int]]] = {}
-    denominators = graded.denominators
-    rows = []
+class _Memo(dict):
+    """Text per key, rendered by ``render`` on the key's first lookup."""
+
+    def __init__(self, render: Callable[..., str]) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key) -> str:
+        text = self[key] = self.render(key)
+        return text
+
+
+def graded_series_json(graded: GradedSeriesResult) -> Fragment:
+    """Canonical dump, pre-rendered for depth 1, where the ``mc`` report holds
+    it: per label, buckets of {power, terms} rows, each term a {coef,
+    differential, monomial} row, in ``json.dumps(sort_keys=True, indent=2)``
+    text.  Each distinct monomial and differential is rendered once, and each
+    coefficient once per distinct (numerator, degree)."""
+    depth = 1
+    nl = ["\n" + "  " * (depth + i) for i in range(9)]  # nl[i]: a break to depth + i
+
+    def listed(texts: list[str], i: int) -> str:
+        """A list at depth + i of items rendered at depth + i + 1."""
+        if not texts:
+            return "[]"
+        return "[" + nl[i + 1] + ("," + nl[i + 1]).join(texts) + nl[i] + "]"
+
+    def ints(values, i: int) -> str:
+        return listed([*map(str, values)], i)
+
+    # A term at depth + 5 is coefs[k][num] + diffs[diff] + mons[mon].
+    coefs = [_Memo(lambda num, den=den: "{" + nl[6] + '"coef": ' + encode_basestring_ascii(
+                 format_rational(Fraction(num, den))) + "," + nl[6] + '"differential": ')
+             for den in graded.denominators]
+    diffs = _Memo(lambda diff: ints(diff[::-1], 6) + "," + nl[6] + '"monomial": ')
+    factors = _Memo(lambda x: ints(x, 7))
+    mons = _Memo(lambda mon: listed([factors[(*x,)] for x in monomial_json(mon)], 6)
+                 + nl[5] + "}")
+    chunks = []
     for label in sorted(graded.by_label, key=label_key):
         buckets = []
         for power, poly in sorted(graded.by_label[label].items()):
-            terms = []
-            for (mon, (mode, gen)), num in sorted(poly.terms.items()):
-                mon_json = factors.get(mon)
-                if mon_json is None:
-                    mon_json = factors[mon] = monomial_json(mon)
-                terms.append({"monomial": mon_json, "differential": [gen, mode],
-                              "coef": format_rational(Fraction(num, denominators[len(mon)]))})
+            terms = poly.terms
             if terms:
-                buckets.append({"power": power, "terms": terms})
-        rows.append({"label": [label.gen, label.mode], "series": buckets})
-    return rows
+                texts = [coefs[len(key[0])][terms[key]] + diffs[key[1]] + mons[key[0]]
+                         for key in sorted(terms)]
+                buckets.append("{" + nl[4] + f'"power": {power},' + nl[4] + '"terms": '
+                               + listed(texts, 4) + nl[3] + "}")
+        # Each row follows its separator; the first separator opens the list.
+        chunks += ("," + nl[1], "{" + nl[2] + '"label": ' + ints((label.gen, label.mode), 2)
+                   + "," + nl[2] + '"series": ' + listed(buckets, 2) + nl[1] + "}")
+    if not chunks:
+        return Fragment(depth, ["[]"])
+    chunks[0] = "[" + nl[1]
+    chunks.append(nl[0] + "]")
+    return Fragment(depth, chunks)

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from loopexp import (ExpandedAlgebra, ExpandedLabel, InadmissibleLabel, LoopLabel,
+from loopexp import (ClosureQuotient, ExpandedAlgebra, ExpandedLabel, InadmissibleLabel, LoopLabel,
                      ModeWindow, NotClosed, SplitKind, UnknownCase, build_named,
                      builtin_algebra, check_closure, check_jacobi_expanded,
                      expanded_constant, generator_set, loop_structure_constant,
@@ -124,6 +124,15 @@ def test_expanded_algebra_derives_its_generators_from_its_orders():
     for n0, n1 in ((-1, 0), (0, -1)):
         with pytest.raises(ValueError):
             ExpandedAlgebra(EPS, COSET, n0, n1, window)
+
+
+@pytest.mark.parametrize("n0, n1", [(True, 1), (1, False), (2.5, 1), (1, 1.0), ("1", 0)])
+def test_non_integer_orders_are_refused_as_the_window_refuses_them(n0, n1):
+    # A bool would pass for 1 or 0, and a float would fail deep in labels_at.
+    with pytest.raises(ValueError, match="non-negative integers"):
+        ExpandedAlgebra(EPS, COSET, n0, n1, ModeWindow(1))
+    with pytest.raises(ValueError, match="non-negative integers"):
+        ClosureQuotient(EPS, COSET, ModeWindow(1)).cell(n0, n1)
 
 
 # ---------------------------------------------------------------------------

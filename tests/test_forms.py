@@ -6,6 +6,7 @@ denominators.  The tests read it through the adapter
 target the ``Fraction`` form algebra kept in ``helpers_oracles``.
 """
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -452,9 +453,26 @@ def test_order_zero_equation_reproduced_from_zero_mode_buckets():
                 assert value == 0
 
 
+def rendered(graded):
+    """The pre-rendered series text, checked to be made for depth 1, where the
+    ``mc`` report holds it."""
+    fragment = graded_series_json(graded)
+    assert fragment.depth == 1
+    return "".join(fragment.chunks)
+
+
+def oracle_text(fraction_graded_series):
+    """The per-term dump of Fraction buckets through json.dumps, indented to depth 1."""
+    text = json.dumps(legacy_graded_series_json(fraction_graded_series), sort_keys=True,
+                      indent=2)
+    return text.replace("\n", "\n  ")
+
+
 def test_series_json_dump_is_canonical():
     graded = rescale_and_collect(canonical_form_series(EPS, ModeWindow(1), 2), COSET)
-    rows = graded_series_json(graded)
+    text = rendered(graded)
+    assert text == oracle_text(fraction_graded(graded))
+    rows = json.loads(text)
     assert [row["label"] for row in rows] == sorted(
         (row["label"] for row in rows), key=lambda t: (t[1], t[0]))
     first = rows[0]["series"][0]["terms"][0]
@@ -470,7 +488,54 @@ def test_grading_and_dump_match_fraction_oracle(split):
     legacy = legacy_rescale_and_collect(legacy_canonical_form_series(EPS, ModeWindow(1), 4),
                                         split)
     assert fraction_graded(graded) == legacy
-    assert graded_series_json(graded) == legacy_graded_series_json(legacy)
+    assert rendered(graded) == oracle_text(legacy)
+
+
+# Small raw tensors: any index triple, values with small denominators of
+# either sign, so that coefficient strings vary.
+RAW_VALUES = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def generated_graded(draw):
+    dim = draw(st.integers(1, 3))
+    index = st.integers(1, dim)
+    entries = draw(st.dictionaries(st.tuples(index, index, index), RAW_VALUES, max_size=6))
+    f = StructureConstants(dim, entries, name="generated")
+    kinds = [kind for kind in SplitKind if dim > 1 or kind is not SplitKind.GENERIC_INDEX]
+    kind = draw(st.sampled_from(kinds))
+    v0 = None
+    if kind is SplitKind.GENERIC_INDEX:
+        v0 = draw(st.sets(index, min_size=1, max_size=dim - 1))
+    split = make_splitting(kind, v0_gens=v0, dim=dim)
+    window = draw(st.integers(0, 2))
+    # At most 9 coordinates reach degree 4; wider series stop at degree 3.
+    degree = draw(st.integers(1, 4 if dim * (2 * window + 1) <= 9 else 3))
+    return rescale_and_collect(canonical_form_series(f, ModeWindow(window), degree), split)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_graded())
+def test_rendered_series_matches_per_term_dump(graded):
+    assert rendered(graded) == oracle_text(fraction_graded(graded))
+
+
+@pytest.mark.parametrize("by_label", [
+    {},
+    # A label with no buckets, and one whose only bucket is empty.
+    {LoopLabel(2, 0): {}, LoopLabel(1, -1): {0: FormPolynomial()}},
+    # The empty monomial, repeated factors and a negative coefficient.
+    {LoopLabel(1, 0): {0: store_poly(((), LoopLabel(1, 0), 1)),
+                       2: store_poly(((LoopLabel(2, 1), LoopLabel(2, 1)), LoopLabel(3, -1),
+                                      "-1/6"),
+                                     ((LoopLabel(2, 1), LoopLabel(2, 1), LoopLabel(3, 0)),
+                                      LoopLabel(3, -1), "5/24"),
+                                     ((LoopLabel(2, -1),), LoopLabel(3, 1), "1/2"))},
+     LoopLabel(3, 1): {}},
+], ids=["no_labels", "no_buckets", "empty_and_repeated"])
+def test_rendered_series_fixed_cases(by_label):
+    graded = GradedSeriesResult(by_label, EPS_DENOMINATORS, 4, ModeWindow(1), COSET, 0)
+    assert rendered(graded) == oracle_text(fraction_graded(graded))
 
 
 # A raw tensor: f_12 and f_21 are stored independently and disagree, and the

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from loopexp import LoopLabel
 from loopexp.cli import _emit_json, main
-from loopexp.jsonout import json_chunks
+from loopexp.jsonout import Fragment, json_chunks
 
 
 class Color(enum.IntEnum):
@@ -76,6 +76,33 @@ def test_emit_error_leaves_no_partial_file(tmp_path):
     out = tmp_path / "report.json"
     with pytest.raises(TypeError):
         _emit_json({"a": list(range(1000)), "b": 0.5}, str(out))
+    assert not out.exists()
+
+
+def fragment_of(value, depth):
+    """``value`` pre-rendered as it would sit at ``depth``."""
+    return Fragment(depth, [reference(value).replace("\n", "\n" + "  " * depth)])
+
+
+@pytest.mark.parametrize("value", [[[1, 2], {"b": "x", "c": []}], [], "text", {}])
+def test_fragment_is_spliced_where_it_sits(value):
+    assert render(fragment_of(value, 0)) == reference(value)
+    assert render({"a": 1, "s": fragment_of(value, 1)}) == reference({"a": 1, "s": value})
+    assert render({"a": {"b": [fragment_of(value, 3), 0]}}) == reference(
+        {"a": {"b": [value, 0]}})
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_fragment_at_the_wrong_depth_raises(depth):
+    with pytest.raises(ValueError, match="depth"):
+        json_chunks({"series": fragment_of([1, [2]], depth)})
+
+
+def test_misplaced_fragment_leaves_no_partial_file(tmp_path):
+    out = tmp_path / "report.json"
+    payload = {"a": list(range(1000)), "series": fragment_of([[1, 2]], 3)}
+    with pytest.raises(ValueError):
+        _emit_json(payload, str(out))
     assert not out.exists()
 
 
