@@ -10,7 +10,7 @@ from .expansion import (ClosureCell, ClosureQuotient, ClosureReport, ClosureViol
                         ExpandedAlgebra, ExpandedJacobiReport, ExpandedLabel,
                         InadmissibleLabel, NAMED_CASES, NotClosed, UnknownCase,
                         build_named, check_closure, check_jacobi_expanded,
-                        expanded_constant, generator_set)
+                        generator_set)
 from .loop import (LoopLabel, ModeWindow, enumerate_generators, jacobi_residuals,
                    loop_bracket, loop_structure_constant)
 from .mcforms import (DegreeTooLow, FormPolynomial, GradedSeriesResult, InvalidDegree,

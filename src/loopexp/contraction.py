@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterator, NamedTuple
 
 from .algebra import StructureConstants
-from .expansion import ExpandedAlgebra, ExpandedLabel
+from .expansion import ExpandedAlgebra, ExpandedLabel, make_label
 from .loop import (LoopLabel, ModeWindow, class_jacobi_sweep, enumerate_generators,
-                   loop_structure_constant, window_pairs)
+                   loop_bracket, window_pairs)
 from .splitting import SplitKind, Splitting
 
 
@@ -41,37 +42,28 @@ _SURVIVING = {(0, 0, 0), (0, 1, 1), (1, 0, 1)}
 
 @dataclass(frozen=True)
 class ContractedAlgebra:
-    """Loop-label constant evaluator with the sector survival mask applied."""
+    """The loop bracket with the sector survival mask applied."""
 
     base: StructureConstants
     split: Splitting
     window: ModeWindow
 
-    def constant(self, x: LoopLabel, y: LoopLabel, z: LoopLabel) -> Fraction:
-        pattern = (self.split.sector(x), self.split.sector(y), self.split.sector(z))
-        if pattern not in _SURVIVING:
-            self.base._check_index(x.gen)
-            self.base._check_index(y.gen)
-            self.base._check_index(z.gen)
-            return Fraction(0)
-        return loop_structure_constant(self.base, x, y, z)
-
     def bracket(self, x: LoopLabel, y: LoopLabel) -> dict[LoopLabel, Fraction]:
-        mode = x.mode + y.mode
-        out = {}
-        for c, _ in self.base.pair_targets(x.gen, y.gen):
-            z = LoopLabel(c, mode)
-            value = self.constant(x, y, z)
-            if value:
-                out[z] = value
-        return out
+        """The terms of :func:`loop_bracket` whose sector pattern survives."""
+        sector = self.split.sector
+        return {z: v for z, v in loop_bracket(self.base, x, y).items()
+                if (sector(x), sector(y), sector(z)) in _SURVIVING}
+
+
+def _require_parity_coset(s: Splitting) -> None:
+    if s.kind is not SplitKind.MODE_PARITY_COSET:
+        raise WrongSplitKind(f"contraction equivalence requires the mode-parity "
+                             f"coset, got {s.kind.value}")
 
 
 def iw_contract(f: StructureConstants, s: Splitting, window: ModeWindow) -> ContractedAlgebra:
     """Contraction with respect to the even-mode subalgebra; parity coset only."""
-    if s.kind is not SplitKind.MODE_PARITY_COSET:
-        raise WrongSplitKind(f"contraction equivalence requires the mode-parity "
-                             f"coset, got {s.kind.value}")
+    _require_parity_coset(s)
     return ContractedAlgebra(f, s, window)
 
 
@@ -105,16 +97,13 @@ def compare_with_expansion(contracted: ContractedAlgebra) -> tuple[bool, list[Co
     fails are the diffs over ``contracted.window`` listed, by target generator per pair.
     """
     split = contracted.split
-    if split.kind is not SplitKind.MODE_PARITY_COSET:
-        raise ValueError(f"comparison needs a contraction on the parity coset, "
-                         f"got {split.kind.value}")
+    _require_parity_coset(split)
     expanded = ExpandedAlgebra(contracted.base, split, 0, 1, contracted.window)
-    lowest = split.order_rule.lowest
     gens = range(1, contracted.base.dim + 1)
 
+    @cache
     def lift(label: LoopLabel) -> ExpandedLabel:
-        sector = split.sector(label)
-        return ExpandedLabel(label.gen, label.mode, lowest[sector], sector)
+        return make_label(split, *label, split.order_rule.lowest[split.sector(label)])
 
     def diffs(pairs) -> Iterator[ContractionDiff]:
         for x, y in pairs:

@@ -38,7 +38,7 @@ from .splitting import SplitKind, Splitting, make_splitting, pair_modes, sector_
 
 
 class InadmissibleLabel(ValueError):
-    """A label violates its splitting's sector or order invariant."""
+    """A label is not retained: inadmissible under its splitting, or above its order cap."""
 
 
 class NotClosed(RuntimeError):
@@ -67,24 +67,6 @@ def make_label(s: Splitting, gen: int, mode: int, order: int) -> ExpandedLabel |
     if not s.exists(label, order):
         return None
     return ExpandedLabel(gen, mode, order, s.sector(label))
-
-
-def _admissible(s: Splitting, label: ExpandedLabel) -> bool:
-    """Whether ``label`` exists under ``s`` with its own sector tag: whether
-    :func:`make_label` rebuilds it."""
-    return make_label(s, label.gen, label.mode, label.order) == label
-
-
-def expanded_constant(f: StructureConstants, s: Splitting, x: ExpandedLabel,
-                      y: ExpandedLabel, z: ExpandedLabel) -> Fraction:
-    """delta_{beta+gamma}^alpha delta_{n+m}^l f_{ab}^c."""
-    for label in (x, y, z):
-        f._check_index(label.gen)
-        if not _admissible(s, label):
-            raise InadmissibleLabel(f"{label} is not an admissible label under {s.kind.value}")
-    if z.order != x.order + y.order or z.mode != x.mode + y.mode:
-        return Fraction(0)
-    return f.entry(x.gen, y.gen, z.gen)
 
 
 def _check_orders(n0: int, n1: int) -> None:
@@ -257,8 +239,7 @@ def check_jacobi_expanded(f: StructureConstants, s: Splitting, n0: int, n1: int,
 
 @dataclass(frozen=True)
 class ExpandedAlgebra:
-    """A truncation (f, s, n0, n1) with its windowed generators and its
-    closed-form structure-constant evaluator."""
+    """A truncation (f, s, n0, n1) with its windowed generators and its quotient bracket."""
 
     base: StructureConstants
     split: Splitting
@@ -288,9 +269,10 @@ class ExpandedAlgebra:
         return [label for label in labels if label is not None]
 
     def contains(self, label: ExpandedLabel) -> bool:
-        """Whether ``label`` is retained, at any mode: whether :meth:`label_at`
-        rebuilds it, which asks that it be admissible and within its order."""
-        return self.label_at(label.gen, label.mode, label.order) == label
+        """Whether ``label`` is retained, at any mode: whether its generator is
+        the base's and :meth:`label_at` rebuilds it (admissible, within its order)."""
+        return (label.gen in range(1, self.base.dim + 1)
+                and self.label_at(label.gen, label.mode, label.order) == label)
 
     def bracket(self, x: ExpandedLabel, y: ExpandedLabel) -> dict[ExpandedLabel, Fraction]:
         """The retained terms of [x, y]; terms above the truncation orders vanish."""
@@ -302,11 +284,13 @@ class ExpandedAlgebra:
         return out
 
     def constant(self, x: ExpandedLabel, y: ExpandedLabel, z: ExpandedLabel) -> Fraction:
+        """The constant of three retained labels, read from :meth:`bracket`."""
         for label in (x, y, z):
+            self.base._check_index(label.gen)
             if not self.contains(label):
                 raise InadmissibleLabel(f"{label} is not retained at "
                                         f"({self.n0},{self.n1})")
-        return expanded_constant(self.base, self.split, x, y, z)
+        return self.bracket(x, y).get(z, Fraction(0))
 
     def closure_report(self) -> ClosureReport:
         return check_closure(self.base, self.split, self.n0, self.n1, self.window)

@@ -58,21 +58,15 @@ class ModeWindow:
 
 def loop_bracket(f: StructureConstants, x: LoopLabel, y: LoopLabel) -> dict[LoopLabel, Fraction]:
     """[T_a^m, T_b^n] = f_{ab}^c T_c^{m+n}, as a sparse label map."""
-    f._check_index(x.gen)
-    f._check_index(y.gen)
     mode = x.mode + y.mode
     return {LoopLabel(c, mode): v for c, v in f.pair_targets(x.gen, y.gen)}
 
 
 def loop_structure_constant(f: StructureConstants, x: LoopLabel, y: LoopLabel,
                             z: LoopLabel) -> Fraction:
-    """delta_{m+n}^l f_{ab}^c, evaluated symbolically in the modes."""
-    if z.mode != x.mode + y.mode:
-        f._check_index(x.gen)
-        f._check_index(y.gen)
-        f._check_index(z.gen)
-        return Fraction(0)
-    return f.entry(x.gen, y.gen, z.gen)
+    """delta_{m+n}^l f_{ab}^c, read from :func:`loop_bracket`."""
+    f._check_index(z.gen)
+    return loop_bracket(f, x, y).get(z, Fraction(0))
 
 
 def enumerate_generators(f: StructureConstants, window: ModeWindow) -> list[LoopLabel]:

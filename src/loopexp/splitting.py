@@ -154,7 +154,9 @@ class Splitting:
 
 
 def make_splitting(kind: SplitKind, *, v0_gens=None, dim: int | None = None) -> Splitting:
-    """Construct a splitting, validating the kind-specific parameters."""
+    """Construct a splitting, validating the kind and its kind-specific parameters."""
+    if not isinstance(kind, SplitKind):
+        raise InvalidParams(f"splitting kind must be a SplitKind, got {kind!r}")
     if kind is SplitKind.GENERIC_INDEX:
         if not v0_gens:
             raise InvalidParams("generic splitting requires a nonempty v0_gens set")

@@ -2,7 +2,9 @@
 
 Everything here is deliberately coded against dense tables and plain tuples,
 not the package's sparse machinery, so a structural mistake cannot hide on
-both sides of a comparison.  The two splitting oracles after them are the
+both sides of a comparison.  :func:`expanded_constant` is the expansion's
+delta formula on such a table, which the package no longer evaluates apart
+from its brackets.  The two splitting oracles after them are the
 per-kind branches that the order table of ``loopexp.splitting`` replaced, and
 the MC residual oracle is the per-order, per-``beta`` residual check that the
 single pruned integer pass of ``loopexp.mcforms`` replaced.  The series oracle
@@ -31,7 +33,7 @@ from loopexp.algebra import format_rational
 from loopexp.contraction import ContractionDiff
 from loopexp.expansion import (ClosureReport, ClosureViolation, ExpandedAlgebra,
                                ExpandedJacobiReport, ExpandedLabel, JacobiResidual,
-                               NotClosed, expanded_constant, generator_set, make_label)
+                               NotClosed, generator_set, make_label)
 from loopexp.loop import enumerate_generators, label_key, loop_bracket
 from loopexp.mcforms import DegreeTooLow, InvalidDegree, McResidualReport, McResidualTerm
 from loopexp.splitting import SectorWitness, SplitCheckReport
@@ -48,6 +50,14 @@ def dense_tensor(dim: int, raw_entries: dict) -> list:
                 elif (b, a, c) in raw_entries:
                     table[a][b][c] = -Fraction(raw_entries[(b, a, c)])
     return table
+
+
+def expanded_constant(table: list, x, y, z) -> Fraction:
+    """delta_{beta+gamma}^alpha delta_{n+m}^l f_ab^c of three expanded labels,
+    read from a :func:`dense_tensor`; the labels' retention is not checked."""
+    if z.order != x.order + y.order or z.mode != x.mode + y.mode:
+        return Fraction(0)
+    return table[x.gen][y.gen][z.gen]
 
 
 def oracle_jacobi_residual(dim: int, raw_entries: dict, a: int, b: int, c: int,
@@ -631,11 +641,12 @@ def windowed_contracted_jacobi_residuals(alg):
 
 
 def windowed_compare_with_expansion(contracted, expanded, window):
-    """Every windowed constant of the contraction against the lifted expansion's."""
+    """Every windowed term of the contraction's bracket against the delta
+    formula of the lifted expansion."""
     if (expanded.split.kind is not SplitKind.MODE_PARITY_COSET
             or (expanded.n0, expanded.n1) != (0, 1)):
         raise ValueError("comparison target must be the order-(0,1) parity expansion")
-    f = expanded.base
+    table = dense_tensor(expanded.base.dim, expanded.base.entries)
     split = expanded.split
     lowest = split.order_rule.lowest
     labels = enumerate_generators(contracted.base, window)
@@ -649,10 +660,11 @@ def windowed_compare_with_expansion(contracted, expanded, window):
             mode = x.mode + y.mode
             if not window.contains(mode):
                 continue
+            masked = contracted.bracket(x, y)
             for c in range(1, contracted.base.dim + 1):
                 z = LoopLabel(c, mode)
-                cv = contracted.constant(x, y, z)
-                ev = expanded_constant(f, split, lift[x], lift[y], lift[z])
+                cv = masked.get(z, Fraction(0))
+                ev = expanded_constant(table, lift[x], lift[y], lift[z])
                 if cv != ev:
                     diffs.append(ContractionDiff(x, y, z, cv, ev))
     return not diffs, diffs

@@ -141,10 +141,11 @@ def test_contract_abelian(tmp_path):
 
 def test_contract_detects_perturbation(tmp_path, monkeypatch):
     class Perturbed(ContractedAlgebra):
-        def constant(self, x, y, z):
-            if (x, y, z) == (LoopLabel(1, 0), LoopLabel(2, 1), LoopLabel(3, 1)):
-                return super().constant(x, y, z) + 1
-            return super().constant(x, y, z)
+        def bracket(self, x, y):
+            row = super().bracket(x, y)
+            if (x, y) == (LoopLabel(1, 0), LoopLabel(2, 1)):
+                row[LoopLabel(3, 1)] += 1
+            return row
 
     monkeypatch.setattr("loopexp.cli.iw_contract",
                         lambda f, s, window: Perturbed(f, s, window))

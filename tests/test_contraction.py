@@ -58,21 +58,25 @@ def test_contraction_matches_expansion_for_builtins():
 
 def test_comparison_requires_the_right_expansion():
     # The order-(0,1) expansion is built on the contraction's split, which
-    # must be the parity coset.
+    # must be the parity coset: the same check, and the same error, as iw_contract's.
     window = ModeWindow(1)
     for split in (make_splitting(SplitKind.ZERO_MODE_SUBALGEBRA),
                   make_splitting(SplitKind.GENERIC_INDEX, v0_gens={1}, dim=3)):
-        with pytest.raises(ValueError):
+        with pytest.raises(WrongSplitKind, match="requires the mode-parity coset"):
             compare_with_expansion(ContractedAlgebra(EPS, split, window))
+        with pytest.raises(WrongSplitKind, match="requires the mode-parity coset"):
+            iw_contract(EPS, split, window)
+    assert issubclass(WrongSplitKind, ValueError)
 
 
 class _Perturbed(ContractedAlgebra):
     """Fixture: one deliberately wrong constant."""
 
-    def constant(self, x, y, z):
-        if (x, y, z) == (LoopLabel(1, 0), LoopLabel(2, 1), LoopLabel(3, 1)):
-            return super().constant(x, y, z) + 1
-        return super().constant(x, y, z)
+    def bracket(self, x, y):
+        row = super().bracket(x, y)
+        if (x, y) == (LoopLabel(1, 0), LoopLabel(2, 1)):
+            row[LoopLabel(3, 1)] += 1
+        return row
 
 
 def test_perturbed_contraction_is_caught():

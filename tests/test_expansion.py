@@ -5,11 +5,13 @@ from itertools import combinations
 
 import pytest
 
-from loopexp import (ClosureQuotient, ExpandedAlgebra, ExpandedLabel, InadmissibleLabel, LoopLabel,
-                     ModeWindow, NotClosed, SplitKind, UnknownCase, build_named,
-                     builtin_algebra, check_closure, check_jacobi_expanded,
-                     expanded_constant, generator_set, loop_structure_constant,
+from loopexp import (ClosureQuotient, ExpandedAlgebra, ExpandedLabel, InadmissibleLabel,
+                     IndexOutOfRange, LoopLabel, ModeWindow, NotClosed, SplitKind,
+                     UnknownCase, build_named, builtin_algebra, check_closure,
+                     check_jacobi_expanded, generator_set, loop_structure_constant,
                      make_splitting)
+
+from helpers_oracles import dense_tensor, expanded_constant
 
 EPS = builtin_algebra("epsilon3")
 ABELIAN = builtin_algebra("abelian4")
@@ -27,40 +29,60 @@ def lab(s, gen, mode, order):
 
 
 # ---------------------------------------------------------------------------
-# expanded_constant
+# ExpandedAlgebra.constant
 # ---------------------------------------------------------------------------
 
+def constant(s, x, y, z):
+    """The constant of the (3, 3) truncation, whose caps keep every label below."""
+    return ExpandedAlgebra(EPS, s, 3, 3, ModeWindow(1)).constant(x, y, z)
+
+
 def test_constant_coset_example():
-    assert expanded_constant(EPS, COSET, lab(COSET, 1, 1, 1), lab(COSET, 2, 1, 1),
-                             lab(COSET, 3, 2, 2)) == 1
+    assert constant(COSET, lab(COSET, 1, 1, 1), lab(COSET, 2, 1, 1), lab(COSET, 3, 2, 2)) == 1
 
 
 def test_constant_order_delta_fails():
-    assert expanded_constant(EPS, ZERO_MODE, lab(ZERO_MODE, 1, 0, 0),
-                             lab(ZERO_MODE, 2, 0, 1), lab(ZERO_MODE, 3, 0, 2)) == 0
+    assert constant(ZERO_MODE, lab(ZERO_MODE, 1, 0, 0), lab(ZERO_MODE, 2, 0, 1),
+                    lab(ZERO_MODE, 3, 0, 2)) == 0
 
 
 def test_constant_zero_mode_example():
-    assert expanded_constant(EPS, ZERO_MODE, lab(ZERO_MODE, 1, 0, 0),
-                             lab(ZERO_MODE, 2, 3, 1), lab(ZERO_MODE, 3, 3, 1)) == 1
+    assert constant(ZERO_MODE, lab(ZERO_MODE, 1, 0, 0), lab(ZERO_MODE, 2, 3, 1),
+                    lab(ZERO_MODE, 3, 3, 1)) == 1
 
 
 def test_constant_rejects_structurally_missing_labels():
     with pytest.raises(InadmissibleLabel):
-        expanded_constant(EPS, ZERO_MODE, ExpandedLabel(1, 3, 0, 1),
-                          lab(ZERO_MODE, 2, 0, 0), lab(ZERO_MODE, 3, 3, 0))
+        constant(ZERO_MODE, ExpandedLabel(1, 3, 0, 1), lab(ZERO_MODE, 2, 0, 0),
+                 lab(ZERO_MODE, 3, 3, 0))
     with pytest.raises(InadmissibleLabel):
-        expanded_constant(EPS, COSET, ExpandedLabel(1, 2, 1, 0),
-                          lab(COSET, 2, 0, 0), lab(COSET, 3, 2, 1))
+        constant(COSET, ExpandedLabel(1, 2, 1, 0), lab(COSET, 2, 0, 0), lab(COSET, 3, 2, 1))
     with pytest.raises(InadmissibleLabel):
-        expanded_constant(EPS, generic({1}), lab(generic({1}), 1, 0, -1),
-                          lab(generic({1}), 2, 0, 1), lab(generic({1}), 3, 0, 0))
+        constant(generic({1}), lab(generic({1}), 1, 0, -1), lab(generic({1}), 2, 0, 1),
+                 lab(generic({1}), 3, 0, 0))
 
 
 def test_constant_rejects_wrong_sector_tag():
     with pytest.raises(InadmissibleLabel):
-        expanded_constant(EPS, COSET, ExpandedLabel(1, 1, 1, 0),
-                          lab(COSET, 2, 1, 1), lab(COSET, 3, 2, 2))
+        constant(COSET, ExpandedLabel(1, 1, 1, 0), lab(COSET, 2, 1, 1), lab(COSET, 3, 2, 2))
+
+
+def test_constant_refuses_an_index_outside_the_algebra():
+    # A label's index is checked before its retention, so a generator outside
+    # 1..dim is an IndexOutOfRange even where contains alone would say False.
+    outside = ExpandedLabel(7, 0, 0, 0)
+    for x, y, z in ((outside, lab(COSET, 1, 0, 0), lab(COSET, 1, 0, 0)),
+                    (lab(COSET, 1, 0, 0), lab(COSET, 2, 0, 0), outside),
+                    (ExpandedLabel(7, 1, 1, 0), lab(COSET, 1, 0, 0), lab(COSET, 1, 0, 0))):
+        with pytest.raises(IndexOutOfRange):
+            constant(COSET, x, y, z)
+
+
+def test_contains_refuses_a_generator_outside_the_algebra():
+    alg = ExpandedAlgebra(EPS, COSET, 2, 1, ModeWindow(1))
+    assert alg.contains(ExpandedLabel(3, 0, 0, 0))
+    assert not alg.contains(ExpandedLabel(7, 0, 0, 0))
+    assert not alg.contains(ExpandedLabel(0, 1, 1, 1))
 
 
 def test_delta_factorization():
@@ -68,7 +90,7 @@ def test_delta_factorization():
     for x in alg.generators:
         for y in alg.generators:
             for z in alg.generators:
-                value = expanded_constant(EPS, COSET, x, y, z)
+                value = alg.constant(x, y, z)
                 if value:
                     assert z.order == x.order + y.order
                     assert z.mode == x.mode + y.mode
@@ -80,8 +102,7 @@ def test_antisymmetry_inheritance():
     for x in alg.generators:
         for y in alg.generators:
             for z in alg.generators:
-                assert (expanded_constant(EPS, COSET, x, y, z)
-                        == -expanded_constant(EPS, COSET, y, x, z))
+                assert alg.constant(x, y, z) == -alg.constant(y, x, z)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +175,7 @@ def test_closure_violations_reverify():
     report = check_closure(EPS, generic({1, 2}), 0, 1, ModeWindow(1))
     for v in report.violations:
         x, y = v.pair
-        assert expanded_constant(EPS, generic({1, 2}), x, y, v.target) == v.coefficient != 0
+        assert constant(generic({1, 2}), x, y, v.target) == v.coefficient != 0
 
 
 def test_coset_g21_closes():
@@ -209,12 +230,13 @@ def test_jacobi_clean_for_g01_and_independent_oracle():
     # full generator list instead of the sparse target tables.
     alg = build_named("G01", EPS, window)
     gens = alg.generators
+    dense = dense_tensor(EPS.dim, EPS.entries)
     table = {}
     for x in gens:
         for y in gens:
             row = {}
             for z in gens:
-                value = expanded_constant(EPS, COSET, x, y, z)
+                value = expanded_constant(dense, x, y, z)
                 if value:
                     row[z] = value
             table[(x, y)] = row

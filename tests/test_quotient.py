@@ -20,13 +20,13 @@ from loopexp import (ClosureQuotient, ContractedAlgebra, ExpandedAlgebra, ModeWi
                      check_subalgebra, check_symmetric_coset, compare_with_expansion,
                      contracted_jacobi_residuals, generator_set, iw_contract,
                      jacobi_residuals, make_splitting)
-from loopexp import loop
+from loopexp import LoopLabel, enumerate_generators, loop
 from loopexp.splitting import (MODE_CLASSES, find_representatives, pair_modes,
                                triple_modes)
 
-from helpers_oracles import (windowed_check_closure, windowed_check_jacobi_expanded,
-                             windowed_check_subalgebra, windowed_check_symmetric_coset,
-                             windowed_compare_with_expansion,
+from helpers_oracles import (dense_tensor, expanded_constant, windowed_check_closure,
+                             windowed_check_jacobi_expanded, windowed_check_subalgebra,
+                             windowed_check_symmetric_coset, windowed_compare_with_expansion,
                              windowed_contracted_jacobi_residuals,
                              windowed_jacobi_residuals)
 from test_golden import DEFINITIONS
@@ -136,6 +136,31 @@ def test_quotient_matches_windowed_oracles(case):
         contracted, build_named("G01", f, window), window)
     assert diffs == expected_diffs
     assert match == expected_match if exact else at_most(match, expected_match)
+
+
+@settings(max_examples=50, deadline=None)
+@given(settings_(), st.data())
+def test_constants_and_masked_brackets_match_the_dense_oracles(case, data):
+    # ExpandedAlgebra.constant against the delta formula, on drawn pairs and
+    # every retained target at or off their mode sum; ContractedAlgebra.bracket
+    # against the dense tensor, kept where the target sector is the sum of the
+    # source sectors.
+    f, split, n0, n1, window = case
+    table = dense_tensor(f.dim, f.entries)
+    alg = ExpandedAlgebra(f, split, n0, n1, window)
+    labels = st.sampled_from(alg.generators)
+    for x, y in data.draw(st.lists(st.tuples(labels, labels), min_size=1, max_size=20)):
+        for z in alg.generators + tuple(alg.labels_at(x.mode + y.mode)):
+            assert alg.constant(x, y, z) == expanded_constant(table, x, y, z)
+
+    masked = ContractedAlgebra(f, split, window)
+    loop_labels = enumerate_generators(f, window)
+    for x, y in product(loop_labels, repeat=2):
+        mode = x.mode + y.mode
+        expected = {LoopLabel(c, mode): table[x.gen][y.gen][c] for c in range(1, f.dim + 1)
+                    if table[x.gen][y.gen][c] and split.sector(LoopLabel(c, mode))
+                    == split.sector(x) + split.sector(y)}
+        assert masked.bracket(x, y) == expected
 
 
 @pytest.mark.parametrize("name", ["epsilon3", "solvable2", "eps+solvable"])
@@ -268,10 +293,10 @@ WITNESS_LISTERS = [("loop", "jacobi_sweep"), ("expansion", "_closure_witnesses")
 
 
 class _Shifted(ContractedAlgebra):
-    """Fixture: every constant off by one, so the comparison fails."""
+    """Fixture: every bracket term off by one, so the comparison fails."""
 
-    def constant(self, x, y, z):
-        return super().constant(x, y, z) + 1
+    def bracket(self, x, y):
+        return {z: v + 1 for z, v in super().bracket(x, y).items()}
 
 
 def test_windowed_scans_run_only_on_a_failed_verdict(monkeypatch):
@@ -306,5 +331,5 @@ def test_comparison_reads_brackets_not_admissibility_checked_constants(monkeypat
 
     window = ModeWindow(2)
     contracted = iw_contract(GL3, COSET, window)
-    monkeypatch.setattr("loopexp.expansion._admissible", refuse)
+    monkeypatch.setattr(ExpandedAlgebra, "constant", refuse)
     assert compare_with_expansion(contracted) == (True, [])

@@ -65,6 +65,16 @@ def test_make_splitting_rejects_bad_params():
         make_splitting(SplitKind.MODE_PARITY_COSET, v0_gens={1})
 
 
+@pytest.mark.parametrize("kind", ["mode_parity", "generic", None, 2])
+def test_make_splitting_refuses_a_kind_that_is_not_a_split_kind(kind):
+    # A string used to pass and fail later with a KeyError in sector, or, with
+    # v0_gens, with an AttributeError on kind.value.
+    with pytest.raises(InvalidParams, match="SplitKind"):
+        make_splitting(kind)
+    with pytest.raises(InvalidParams, match="SplitKind"):
+        make_splitting(kind, v0_gens={1}, dim=3)
+
+
 def test_zero_mode_split_is_subalgebra():
     s = make_splitting(SplitKind.ZERO_MODE_SUBALGEBRA)
     for name in ("epsilon3", "solvable2", "abelian4"):
