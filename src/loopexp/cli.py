@@ -277,7 +277,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
                          f"{args.alpha_max}; need degree >= {args.alpha_max + 1}")
     series = canonical_form_series(f, window, args.degree)
     graded = rescale_and_collect(series, split)
-    residuals = verify_mc_equations(graded, f, args.alpha_max)
+    residuals = verify_mc_equations(graded, args.alpha_max)
     grading = check_grading(graded)
     payload = {
         "algebra": f.name or args.algebra,

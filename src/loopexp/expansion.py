@@ -119,7 +119,7 @@ class ClosureQuotient:
     truncation is closed iff no realized pattern has a source above its cap.
     :func:`check_closure`'s windowed counts follow: each pattern's violations
     times its windowed mode pairs, and for each windowed target, its |l|
-    partner modes outside the window.
+    partner modes outside the window.  A cell costs O(cap) per pattern.
     """
 
     def __init__(self, f: StructureConstants, s: Splitting, window: ModeWindow):
@@ -139,15 +139,15 @@ class ClosureQuotient:
 
     def _violations(self, caps: tuple[int, int], target: int, x: int, y: int) -> int:
         """One pattern's violations at one mode pair, over the retained target
-        orders alpha and the source orders beta + gamma = alpha."""
+        orders alpha and the source orders beta + gamma = alpha.  The existing
+        betas of one alpha form a progression, and so do their partners gamma."""
         lowest, step = self.rule
-        admits = self.rule.admits
-        count = 0
-        for alpha in range(lowest[target], caps[target] + 1, step):
-            for beta in range(alpha + 1):
-                if admits(x, beta) and admits(y, alpha - beta):
-                    count += (beta > caps[x]) + (alpha - beta > caps[y])
-        return count
+        if (lowest[target] - lowest[x] - lowest[y]) % step:
+            return 0  # no existing beta + gamma is an existing alpha
+        return sum(len(orders) - len(range(lowest[s], min(orders.stop, caps[s] + 1), step))
+                   for alpha in range(lowest[target], caps[target] + 1, step)
+                   for s, t in ((x, y), (y, x))
+                   for orders in [range(lowest[s], alpha - lowest[t] + 1, step)])
 
     def cell(self, n0: int, n1: int) -> ClosureCell:
         _check_orders(n0, n1)

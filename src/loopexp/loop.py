@@ -4,15 +4,15 @@ The algebra itself is infinite-dimensional; structure constants are evaluated
 symbolically in the mode via the delta factor, and :class:`ModeWindow` only
 bounds enumeration and the witness lists.
 
-:func:`class_jacobi_sweep` decides the cyclic Jacobi identity for all modes:
-the loop, expanded and contracted brackets depend on a mode only through its
-class, and the cyclic sum does not change under (x, y, z) -> (y, z, x), so
-one representative triple per rotation orbit of class patterns settles every
-triple in that orbit.  The loop bracket is unmasked and has one class, so
-its only representative is the base algebra's ``(0, 0, 0)``.  Only when a
-representative has a nonzero residual does :func:`jacobi_sweep`, the
-windowed enumeration, list the witness rows; the windowed counts are
-:func:`sweep_counts` of the labels per mode.
+The loop bracket only adds modes, so the loop algebra's Jacobi verdict is the
+base algebra's, from :func:`loopexp.algebra.validate`.  For the two masked
+brackets, expanded and contracted, :func:`class_jacobi_sweep` decides it for
+all modes: they depend on a mode only through its class, and the cyclic sum
+does not change under (x, y, z) -> (y, z, x), so one representative triple
+per rotation orbit of class patterns settles every triple in that orbit.
+Only on a defect does :func:`jacobi_sweep`, the windowed enumeration, list
+the witness rows; the windowed counts are :func:`sweep_counts` of the labels
+per mode.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Hashable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
-if TYPE_CHECKING:
-    from .algebra import StructureConstants
+from .algebra import StructureConstants, validate
 
 
 class LoopLabel(NamedTuple):
@@ -171,11 +170,10 @@ def jacobi_residuals(f: StructureConstants, window: ModeWindow
 
     Returns the nonzero residual rows of the windowed triples and the number
     of triples checked.  A loop triple's residual is the base algebra's
-    residual of its generators at the summed mode, so the rows are empty
-    exactly when :func:`loopexp.algebra.validate` finds no Jacobi defect.
+    residual of its generators at the summed mode, so the verdict is
+    :func:`loopexp.algebra.validate`'s; the sweep only lists a defect's rows.
     """
-    rows, checked, _ = class_jacobi_sweep(
-        enumerate_generators(f, window),
-        lambda mode: [LoopLabel(a, mode) for a in range(1, f.dim + 1)],
-        lambda x, y: loop_bracket(f, x, y), ((0, 0, 0),), window.max_abs_mode)
-    return rows, checked
+    labels, bound = enumerate_generators(f, window), window.max_abs_mode
+    rows = (jacobi_sweep(labels, lambda x, y: loop_bracket(f, x, y), bound)
+            if validate(f).jacobi else [])
+    return rows, sweep_counts(Counter(label.mode for label in labels), bound)[0]

@@ -26,7 +26,7 @@ text is rendered straight from the store by :func:`graded_series_json`.
 Mode-window censoring: a term is trustworthy only if every partial mode sum of
 its factors stays inside the window (the recursion would otherwise have dropped
 some of its build paths, and the pair sum would miss out-of-window sources).
-The checks read that window, and the splitting, from the graded series.
+The checks read that window, the splitting and the tensor from the graded series.
 Such terms are excluded from verification and counted, never reported as
 residuals.  The counters of :func:`verify_mc_equations` are:
 
@@ -100,11 +100,12 @@ class FormPolynomial:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Canonical-form components, complete through coordinate degree D-1.
+    """Canonical-form components of ``base``, complete through coordinate degree D-1.
 
     ``denominators[k]`` is the denominator of every degree-k numerator.
     """
 
+    base: StructureConstants
     forms: dict[LoopLabel, FormPolynomial]
     denominators: tuple[int, ...]
     degree: int
@@ -116,6 +117,7 @@ class SeriesResult:
 class GradedSeriesResult:
     """The series' terms bucketed per label by rescaling power."""
 
+    base: StructureConstants
     by_label: dict[LoopLabel, dict[int, FormPolynomial]]
     denominators: tuple[int, ...]
     degree: int
@@ -173,7 +175,7 @@ def canonical_form_series(f: StructureConstants, window: ModeWindow, degree: int
 
     denominators = tuple(scale ** k * factorial(k + 1) for k in range(degree))
     forms = {lab: FormPolynomial(terms) for lab, terms in out.items()}
-    return SeriesResult(forms, denominators, degree, window, censored)
+    return SeriesResult(f, forms, denominators, degree, window, censored)
 
 
 def rescale_and_collect(series: SeriesResult, s: Splitting) -> GradedSeriesResult:
@@ -187,8 +189,8 @@ def rescale_and_collect(series: SeriesResult, s: Splitting) -> GradedSeriesResul
             mon, diff = key
             buckets.setdefault(count(mon) + count((diff,)), {})[key] = num
         graded[label] = {p: FormPolynomial(t) for p, t in sorted(buckets.items())}
-    return GradedSeriesResult(graded, series.denominators, series.degree, series.window, s,
-                              series.censored)
+    return GradedSeriesResult(series.base, graded, series.denominators, series.degree,
+                              series.window, s, series.censored)
 
 
 def _shifts_in_window(mon: Monomial, shifts: Iterable[int], bound: int) -> bool:
@@ -253,18 +255,17 @@ def _folded_pairs(f: StructureConstants, c: int) -> list[tuple[int, int, Fractio
     return [row for row in scaled if row[2]]
 
 
-def verify_mc_equations(graded: GradedSeriesResult, f: StructureConstants,
-                        alpha_max: int) -> McResidualReport:
+def verify_mc_equations(graded: GradedSeriesResult, alpha_max: int) -> McResidualReport:
     """Check d w^{c,l;alpha} = -(1/2) f sum_beta w^{a,n;beta} w^{b,m;alpha-beta}.
 
     Rescaling power adds under the wedge and is kept by d, so the equations of
     all orders are the power split of one residual dw + (1/2) f w w per target,
-    formed here in one pass.  Series terms that cannot feed a checked residual
-    term are dropped first: powers above ``alpha_max``, degrees above D-1, and
-    terms failing :func:`term_mode_safe`, whose unsafe sub-multiset sum
-    survives in every product and derivative.  Coefficients are integers over
-    one denominator Q L^2: L clears the series denominators, Q the folded
-    constants.
+    formed here in one pass, with f the series' ``base``.  Series terms that
+    cannot feed a checked residual term are dropped first: powers above
+    ``alpha_max``, degrees above D-1, and terms failing :func:`term_mode_safe`,
+    whose unsafe sub-multiset sum survives in every product and derivative.
+    Coefficients are integers over one denominator Q L^2: L clears the series
+    denominators, Q the folded constants.
 
     Residual terms of degree above D-2 are incomplete on the derivative side
     and are never formed.  Formed terms failing :func:`residual_term_safe` are
@@ -276,7 +277,7 @@ def verify_mc_equations(graded: GradedSeriesResult, f: StructureConstants,
     if degree < alpha_max + 1:
         raise DegreeTooLow(f"degree {degree} cannot support order {alpha_max}; "
                            f"need degree >= {alpha_max + 1}")
-    window = graded.window
+    f, window = graded.base, graded.window
     bound = window.max_abs_mode
     series_den = lcm(*graded.denominators)
     lift = [series_den // den for den in graded.denominators]

@@ -18,17 +18,21 @@ graded buckets and ``resummed``.  Tests read the store through one adapter,
 Jacobi sweeps, contraction comparison and subalgebra and symmetric-coset
 checks that decided their verdicts on the mode window alone, before the
 mode-class quotient.  They count their own triples, skips and censored pairs,
-so the package's counting formulas have an independent reference.  Last come
-two helpers that only tests use.
+so the package's counting formulas have an independent reference.
+:func:`legacy_closure_violations` is the per-``beta`` loop that the closure
+quotient's progression count replaced.  Last come three helpers that only
+tests use, among them the :func:`raw_tensors` strategy.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial
 from typing import Mapping
 
-from loopexp import LoopLabel, SplitKind
+from hypothesis import strategies as st
+
+from loopexp import LoopLabel, SplitKind, StructureConstants
 from loopexp.algebra import format_rational
 from loopexp.contraction import ContractionDiff
 from loopexp.expansion import (ClosureReport, ClosureViolation, ExpandedAlgebra,
@@ -63,9 +67,12 @@ def expanded_constant(table: list, x, y, z) -> Fraction:
 def oracle_jacobi_residual(dim: int, raw_entries: dict, a: int, b: int, c: int,
                            e: int) -> Fraction:
     """Sum_d f_ab^d f_dc^e + f_bc^d f_da^e + f_ca^d f_db^e by dense enumeration."""
-    t = dense_tensor(dim, raw_entries)
+    return _dense_jacobi_residual(dense_tensor(dim, raw_entries), a, b, c, e)
+
+
+def _dense_jacobi_residual(t: list, a: int, b: int, c: int, e: int) -> Fraction:
     total = Fraction(0)
-    for d in range(1, dim + 1):
+    for d in range(1, len(t)):
         total += t[a][b][d] * t[d][c][e]
         total += t[b][c][d] * t[d][a][e]
         total += t[c][a][d] * t[d][b][e]
@@ -74,8 +81,9 @@ def oracle_jacobi_residual(dim: int, raw_entries: dict, a: int, b: int, c: int,
 
 def oracle_jacobi_defects(dim: int, raw_entries: dict) -> list:
     """Every nonzero residual as (a, b, c, e, value), in index order."""
+    t = dense_tensor(dim, raw_entries)
     rng = range(1, dim + 1)
-    rows = [(a, b, c, e, oracle_jacobi_residual(dim, raw_entries, a, b, c, e))
+    rows = [(a, b, c, e, _dense_jacobi_residual(t, a, b, c, e))
             for a in rng for b in rng for c in rng for e in rng]
     return [row for row in rows if row[4]]
 
@@ -332,11 +340,14 @@ def legacy_graded_series_json(graded):
     return rows
 
 
+# Memoised: a series shares each monomial among many terms.
+@cache
 def _label(factor):
     mode, gen = factor
     return LoopLabel(gen, mode)
 
 
+@cache
 def _monomial(mon):
     return CoordMonomial(tuple(map(_label, mon)))
 
@@ -587,11 +598,25 @@ def windowed_check_closure(f, s, n0, n1, window):
     return report
 
 
+def legacy_closure_violations(rule, caps, target, x, y):
+    """One sector pattern's violations at one mode pair, by trying every order
+    split beta + (alpha - beta) of every retained target order alpha."""
+    lowest, step = rule
+    count = 0
+    for alpha in range(lowest[target], caps[target] + 1, step):
+        for beta in range(alpha + 1):
+            if rule.admits(x, beta) and rule.admits(y, alpha - beta):
+                count += (beta > caps[x]) + (alpha - beta > caps[y])
+    return count
+
+
 def windowed_jacobi_sweep(labels, bracket, bound):
     """Cyclic Jacobi sweep over the label triples whose pairwise and total mode
     sums stay within ``bound``: the nonzero residual rows (targets sorted
     within a triple), the triples checked, and the window skips, one per
-    skipped pair plus one per skipped third label of a kept pair."""
+    skipped pair plus one per skipped third label of a kept pair.  The
+    bracket's rows are memoised for this call only."""
+    bracket = cache(bracket)
     rows, checked, skipped = [], 0, 0
     for x in labels:
         for y in labels:
@@ -717,3 +742,18 @@ def algebra_to_dict(f):
     entries = [{"a": a, "b": b, "c": c, "value": format_rational(v)}
                for (a, b, c), v in sorted(f.entries.items())]
     return {"name": f.name, "dim": f.dim, "entries": entries}
+
+
+@st.composite
+def raw_tensors(draw, min_dim=1, max_dim=4):
+    """A tensor as a definition may hold it before the loader cleans it: both
+    orders of a pair stored, agreeing or not, diagonal entries, and small
+    rational values."""
+    dim = draw(st.integers(min_dim, max_dim))
+    index = st.integers(1, dim)
+    value = st.fractions(-2, 2, max_denominator=3)
+    entries = draw(st.dictionaries(st.tuples(index, index, index), value, max_size=3 * dim))
+    for a, b, c in draw(st.lists(st.sampled_from(sorted(entries)), max_size=dim)
+                        if entries else st.just([])):
+        entries[(b, a, c)] = draw(st.just(-entries[(a, b, c)]) | value)
+    return StructureConstants(dim, entries, name="raw")

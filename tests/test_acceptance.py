@@ -171,7 +171,7 @@ def test_criterion_10_structure_equation_residuals():
     series = canonical_form_series(EPS, window, 3)
     for split in (COSET, ZERO_MODE):
         graded = rescale_and_collect(series, split)
-        report = verify_mc_equations(graded, EPS, 2)
+        report = verify_mc_equations(graded, 2)
         assert report.ok and report.violations == []
         assert report.terms_checked > 0
     elapsed = time.monotonic() - start

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
 from loopexp import (ContradictoryEntries, IndexOutOfRange, InvalidDegree, InvalidParams,
                      ModeWindow, SplitKind, StructureConstants, algebra_from_dict,
@@ -12,7 +13,7 @@ from loopexp import (ContradictoryEntries, IndexOutOfRange, InvalidDegree, Inval
 from loopexp.algebra import BUILTIN_NAMES, parse_rational
 
 from helpers_oracles import (algebra_to_dict, oracle_jacobi_clean, oracle_jacobi_defects,
-                             oracle_jacobi_residual)
+                             oracle_jacobi_residual, raw_tensors)
 
 EPS = builtin_algebra("epsilon3")
 SOLV = builtin_algebra("solvable2")
@@ -85,11 +86,15 @@ def test_jacobi_defect_repeated_index():
         assert not [row for row in validate(f).jacobi if row[:3] == (1, 1, 2)]
 
 
-def test_jacobi_defect_matches_validate_everywhere():
-    # The sweep behind validate agrees with the dense oracle, row for row.
-    for name in BUILTIN_NAMES:
-        f = builtin_algebra(name)
-        assert validate(f).jacobi == oracle_jacobi_defects(f.dim, f.entries) == []
+@settings(max_examples=80, deadline=None)
+@given(raw_tensors(1, 4))
+@example(EPS)
+@example(SOLV)
+@example(builtin_algebra("abelian4"))
+def test_jacobi_defect_matches_validate_everywhere(f):
+    # The support walk behind validate agrees with the dense oracle, row for
+    # row, also on tensors storing both orders of a pair or diagonal entries.
+    assert validate(f).jacobi == oracle_jacobi_defects(f.dim, f.entries)
 
 
 def test_lone_entry_is_flagged_but_nilpotent():

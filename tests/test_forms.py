@@ -6,6 +6,7 @@ denominators.  The tests read it through the adapter
 target the ``Fraction`` form algebra kept in ``helpers_oracles``.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -315,17 +316,17 @@ def test_grading_checker_accepts_engine_output():
 
 def test_grading_checker_flags_doctored_bucket():
     bad_bucket = {0: store_poly(((), LoopLabel(1, 1), 1))}
-    doctored = GradedSeriesResult({LoopLabel(1, 1): bad_bucket}, EPS_DENOMINATORS[:2], 2,
-                                  ModeWindow(1), COSET, 0)
+    doctored = GradedSeriesResult(EPS, {LoopLabel(1, 1): bad_bucket}, EPS_DENOMINATORS[:2],
+                                  2, ModeWindow(1), COSET, 0)
     report = check_grading(doctored)
     assert not report.ok
-    doctored_z = GradedSeriesResult({LoopLabel(1, 1): bad_bucket}, EPS_DENOMINATORS[:2], 2,
-                                    ModeWindow(1), ZERO_MODE, 0)
+    doctored_z = GradedSeriesResult(EPS, {LoopLabel(1, 1): bad_bucket}, EPS_DENOMINATORS[:2],
+                                    2, ModeWindow(1), ZERO_MODE, 0)
     assert not check_grading(doctored_z).ok
     # A power-0 term whose differential is sector 0 but whose coordinates are not.
     mixed = {0: store_poly(((), LoopLabel(1, 0), 1),
                            ((LoopLabel(2, 1), LoopLabel(3, -1)), LoopLabel(1, 0), 1))}
-    doctored_m = GradedSeriesResult({LoopLabel(1, 0): mixed}, EPS_DENOMINATORS[:3], 3,
+    doctored_m = GradedSeriesResult(EPS, {LoopLabel(1, 0): mixed}, EPS_DENOMINATORS[:3], 3,
                                     ModeWindow(1), ZERO_MODE, 0)
     assert check_grading(doctored_m).violations == [
         (LoopLabel(1, 0), 0, "power-0 term with a sector-1 factor")]
@@ -362,7 +363,7 @@ def test_grading_matches_kind_branch_oracle_on_doctored_buckets(split, data):
         # label's power-0 bucket; the order-table rule also checks it there.
         assume(buckets.get(0) == original.get(0))
     doctored = GradedSeriesResult(
-        {**graded.by_label, label: dict(sorted(buckets.items()))},
+        graded.base, {**graded.by_label, label: dict(sorted(buckets.items()))},
         graded.denominators, graded.degree, graded.window, split, graded.censored)
     assert (_flagged(check_grading(doctored).violations)
             == _flagged(kind_branch_grading(doctored, split)))
@@ -376,8 +377,9 @@ def test_grading_flags_sector0_power0_bucket_without_unit_term(split):
     stripped = FormPolynomial({k: v for k, v in power0.terms.items()
                                if k != ((), label_key(label))})
     by_power = {**graded.by_label[label], 0: stripped}
-    doctored = GradedSeriesResult({**graded.by_label, label: by_power}, graded.denominators,
-                                  graded.degree, graded.window, split, graded.censored)
+    doctored = GradedSeriesResult(graded.base, {**graded.by_label, label: by_power},
+                                  graded.denominators, graded.degree, graded.window, split,
+                                  graded.censored)
     report = check_grading(doctored)
     assert report.violations == [(label, 0, "missing unit differential term")]
     assert kind_branch_grading(doctored, split) == []
@@ -391,7 +393,7 @@ def test_degree_too_low():
     series = canonical_form_series(EPS, ModeWindow(1), 2)
     graded = rescale_and_collect(series, COSET)
     with pytest.raises(DegreeTooLow):
-        verify_mc_equations(graded, EPS, 2)
+        verify_mc_equations(graded, 2)
 
 
 @pytest.mark.parametrize("alpha_max", [-1, True, 1.0, "1"])
@@ -399,7 +401,7 @@ def test_alpha_max_must_be_a_non_negative_integer(alpha_max):
     # A negative order once gave ok=True with no target and no term checked.
     graded = rescale_and_collect(canonical_form_series(EPS, ModeWindow(1), 3), COSET)
     with pytest.raises(InvalidOrder):
-        verify_mc_equations(graded, EPS, alpha_max)
+        verify_mc_equations(graded, alpha_max)
 
 
 def test_abelian_residuals_vanish():
@@ -407,7 +409,7 @@ def test_abelian_residuals_vanish():
     series = canonical_form_series(ABELIAN, ModeWindow(1), 3)
     for split in (COSET, ZERO_MODE):
         graded = rescale_and_collect(series, split)
-        report = verify_mc_equations(graded, ABELIAN, 2)
+        report = verify_mc_equations(graded, 2)
         assert report.ok and report.violations == []
         assert report.targets_checked > 0
 
@@ -417,7 +419,7 @@ def test_epsilon_residuals_vanish_both_splittings():
     series = canonical_form_series(EPS, window, 3)
     for split in (COSET, ZERO_MODE):
         graded = rescale_and_collect(series, split)
-        report = verify_mc_equations(graded, EPS, 2)
+        report = verify_mc_equations(graded, 2)
         assert report.ok
         assert report.terms_checked > 0
         assert report.violations == []
@@ -427,7 +429,22 @@ def test_generic_split_residuals_vanish():
     window = ModeWindow(1)
     split = make_splitting(SplitKind.GENERIC_INDEX, v0_gens={1, 2}, dim=3)
     graded = rescale_and_collect(canonical_form_series(EPS, window, 3), split)
-    assert verify_mc_equations(graded, EPS, 2).ok
+    assert verify_mc_equations(graded, 2).ok
+
+
+def test_residuals_are_checked_against_the_series_own_tensor():
+    # The check takes its constants from the graded series alone, so a
+    # series can no longer be checked against a tensor it was not built from.
+    window = ModeWindow(1)
+    graded = rescale_and_collect(canonical_form_series(EPS, window, 3), COSET)
+    assert graded.base is EPS and verify_mc_equations(graded, 2).ok
+    doubled = StructureConstants(3, {key: 2 * v for key, v in EPS.entries.items()})
+    graded2 = rescale_and_collect(canonical_form_series(doubled, window, 3), COSET)
+    assert graded2.base is doubled and verify_mc_equations(graded2, 2).ok
+    # Swapping the base under the epsilon3 series makes every equation read
+    # the doubled constants, which that series does not satisfy.
+    report = verify_mc_equations(dataclasses.replace(graded, base=doubled), 2)
+    assert not report.ok and len(report.violations) == 99
 
 
 def test_order_zero_equation_reproduced_from_zero_mode_buckets():
@@ -534,7 +551,7 @@ def test_rendered_series_matches_per_term_dump(graded):
      LoopLabel(3, 1): {}},
 ], ids=["no_labels", "no_buckets", "empty_and_repeated"])
 def test_rendered_series_fixed_cases(by_label):
-    graded = GradedSeriesResult(by_label, EPS_DENOMINATORS, 4, ModeWindow(1), COSET, 0)
+    graded = GradedSeriesResult(EPS, by_label, EPS_DENOMINATORS, 4, ModeWindow(1), COSET, 0)
     assert rendered(graded) == oracle_text(fraction_graded(graded))
 
 
@@ -564,7 +581,7 @@ def test_residual_pass_matches_legacy_oracle(name, kind, window, degree, data):
         window, degree = min(window, 1), min(degree, 3)
     alpha_max = data.draw(st.integers(0, degree - 1))
     f, split, graded = _graded(name, kind, window, degree)
-    new = verify_mc_equations(graded, f, alpha_max)
+    new = verify_mc_equations(graded, alpha_max)
     old = legacy_verify_mc_equations(fraction_graded(graded), f, split, alpha_max,
                                      ModeWindow(window))
     assert new.ok == old.ok
@@ -574,7 +591,7 @@ def test_residual_pass_matches_legacy_oracle(name, kind, window, degree, data):
 
 def test_residual_pass_reports_raw_tensor_violations_like_the_oracle():
     f, split, graded = _graded("raw", SplitKind.MODE_PARITY_COSET, 1, 3)
-    new = verify_mc_equations(graded, f, 2)
+    new = verify_mc_equations(graded, 2)
     assert not new.ok
     assert list(map(fraction_residual, new.violations)) == legacy_verify_mc_equations(
         fraction_graded(graded), f, split, 2, ModeWindow(1)).violations

@@ -19,12 +19,13 @@ from loopexp import (ClosureQuotient, ContractedAlgebra, ExpandedAlgebra, ModeWi
                      build_named, builtin_algebra, check_closure, check_jacobi_expanded,
                      check_subalgebra, check_symmetric_coset, compare_with_expansion,
                      contracted_jacobi_residuals, generator_set, iw_contract,
-                     jacobi_residuals, make_splitting)
+                     jacobi_residuals, make_splitting, validate)
 from loopexp import LoopLabel, enumerate_generators, loop
 from loopexp.splitting import (MODE_CLASSES, find_representatives, pair_modes,
                                triple_modes)
 
-from helpers_oracles import (dense_tensor, expanded_constant, windowed_check_closure,
+from helpers_oracles import (dense_tensor, expanded_constant, legacy_closure_violations,
+                             raw_tensors, windowed_check_closure,
                              windowed_check_jacobi_expanded, windowed_check_subalgebra,
                              windowed_check_symmetric_coset, windowed_compare_with_expansion,
                              windowed_contracted_jacobi_residuals,
@@ -87,6 +88,17 @@ def settings_(draw):
     n0, n1 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     window = ModeWindow(draw(st.integers(0, MAX_WINDOW[f.dim])))
     return f, split, n0, n1, window
+
+
+@st.composite
+def raw_splittings(draw):
+    """A raw tensor of dim 2 to 4 and a splitting of any kind on it."""
+    f = draw(raw_tensors(2, 4))
+    kind = draw(st.sampled_from(list(SplitKind)))
+    v0 = None
+    if kind is SplitKind.GENERIC_INDEX:
+        v0 = draw(st.sets(st.integers(1, f.dim), min_size=1, max_size=f.dim - 1))
+    return f, make_splitting(kind, v0_gens=v0, dim=f.dim)
 
 
 def at_most(new: bool, old: bool) -> bool:
@@ -161,6 +173,44 @@ def test_constants_and_masked_brackets_match_the_dense_oracles(case, data):
                     if table[x.gen][y.gen][c] and split.sector(LoopLabel(c, mode))
                     == split.sector(x) + split.sector(y)}
         assert masked.bracket(x, y) == expected
+
+
+class _PerBetaQuotient(ClosureQuotient):
+    """The closure quotient counting each cell with the per-beta loop."""
+
+    def _violations(self, caps, target, x, y):
+        return legacy_closure_violations(self.rule, caps, target, x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_splittings(), st.integers(0, 2),
+       st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=6))
+def test_closure_cells_match_the_per_beta_loop(case, m, caps):
+    f, split = case
+    window = ModeWindow(m)
+    new, old = ClosureQuotient(f, split, window), _PerBetaQuotient(f, split, window)
+    for n0, n1 in caps:
+        assert new.cell(n0, n1) == old.cell(n0, n1)
+
+
+@settings(max_examples=45, deadline=None)
+@given(raw_splittings(), st.integers(0, 1))
+def test_masked_jacobi_verdicts_are_validate_verdicts(case, m):
+    # Both masked brackets fail Jacobi exactly when the base audit does: the
+    # expansion on every closed truncation, and the contraction when its
+    # mode-0 slice, read from its bracket, has a defect.
+    f, split = case
+    window = ModeWindow(m)
+    defect = bool(validate(f).jacobi)
+    quotient = ClosureQuotient(f, split, window)
+    for n0, n1 in product(range(3), repeat=2):
+        if quotient.cell(n0, n1).closed:
+            assert check_jacobi_expanded(f, split, n0, n1, window).ok is not defect
+    masked = ContractedAlgebra(f, split, window)
+    gens = range(1, f.dim + 1)
+    mode0 = StructureConstants(f.dim, {(a, b, z.gen): v for a in gens for b in gens for z, v
+                                       in masked.bracket(LoopLabel(a, 0), LoopLabel(b, 0)).items()})
+    assert bool(contracted_jacobi_residuals(masked)[0]) == bool(validate(mode0).jacobi)
 
 
 @pytest.mark.parametrize("name", ["epsilon3", "solvable2", "eps+solvable"])
@@ -311,6 +361,8 @@ def test_windowed_scans_run_only_on_a_failed_verdict(monkeypatch):
     assert check_symmetric_coset(GL3, COSET, window).is_symmetric_coset
     assert compare_with_expansion(contracted) == (True, [])
     assert jacobi_residuals(GL3, window)[0] == []
+    # The base audit walks the tensor's support, failing or not.
+    assert validate(GL3).is_valid and validate(NONLIE).jacobi
     assert contracted_jacobi_residuals(contracted)[0] == []
     assert check_jacobi_expanded(GL3, COSET, 2, 1, window).ok
     # A failed verdict calls each lister.

@@ -41,7 +41,7 @@ def test_counts_accept_real_return_values():
     graded = lx.rescale_and_collect(series, COSET)
     results = {
         "canonical_form_series": series,
-        "verify_mc_equations": lx.verify_mc_equations(graded, EPS, 2),
+        "verify_mc_equations": lx.verify_mc_equations(graded, 2),
         "check_jacobi_expanded": lx.check_jacobi_expanded(EPS, COSET, 2, 1, WINDOW),
         "jacobi_residuals": lx.jacobi_residuals(EPS, WINDOW),
         "contracted_jacobi_residuals": lx.contracted_jacobi_residuals(
