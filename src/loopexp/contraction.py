@@ -5,31 +5,26 @@ The large-parameter limit is combinatorial: a structure constant survives
 exactly when the target sector equals the sum of the source sectors, i.e. on
 the patterns (0,0->0) and (0,1->1)/(1,0->1); everything else is zero.  On the
 mode-parity coset this is the contraction with respect to the even-mode
-subalgebra, and it reproduces the order-(0,1) expansion generator-for-
-generator.  :meth:`ContractedAlgebra.bracket` is the masked bracket that
-:func:`contracted_jacobi_residuals` supplies to
-:func:`loopexp.loop.class_jacobi_sweep`.
-
-The mask depends on a mode only through its sector, so both verdicts hold
-for every mode: Jacobi is decided on the splitting's representative triples
-(the mask and its Jacobi check work on any kind), and the comparison, which
-needs the contraction on the parity coset, compares brackets on the coset's
-representative (target, source) mode pairs.  The contracted algebra's window
-bounds only the listed rows and diffs, which are enumerated only when a
-representative shows a defect, and the triple count.
+subalgebra and the order-(0,1) expansion, generator for generator: mask and
+retention rule keep the same sector patterns, so a mismatch means they
+disagree in code.  Both verdicts hold for every mode.  Jacobi, on any kind,
+is decided by :attr:`ContractedAlgebra.mode0_slice`; the comparison compares
+brackets on the coset's representative (target, source) mode pairs.  The
+window bounds only the listed rows and diffs, enumerated only on a defect,
+and the triple count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterator, NamedTuple
 
 from .algebra import StructureConstants
 from .expansion import ExpandedAlgebra, ExpandedLabel, make_label
-from .loop import (LoopLabel, ModeWindow, class_jacobi_sweep, enumerate_generators,
-                   loop_bracket, window_pairs)
+from .loop import (LoopLabel, ModeWindow, enumerate_generators, loop_bracket,
+                   slice_jacobi_residuals, window_pairs)
 from .splitting import SplitKind, Splitting
 
 
@@ -54,6 +49,16 @@ class ContractedAlgebra:
         return {z: v for z, v in loop_bracket(self.base, x, y).items()
                 if (sector(x), sector(y), sector(z)) in _SURVIVING}
 
+    @cached_property
+    def mode0_slice(self) -> StructureConstants:
+        """The coefficients of (c, 0) in :meth:`bracket` of (a, 0) and (b, 0); the
+        contraction is this slice's loop algebra on the generic kind and its closed
+        order-(0,1) expansion on the mode-graded ones, where the slice is ``base``."""
+        gens = range(1, self.base.dim + 1)
+        return StructureConstants(self.base.dim, {
+            (a, b, z.gen): v for a in gens for b in gens
+            for z, v in self.bracket(LoopLabel(a, 0), LoopLabel(b, 0)).items()})
+
 
 def _require_parity_coset(s: Splitting) -> None:
     if s.kind is not SplitKind.MODE_PARITY_COSET:
@@ -69,13 +74,8 @@ def iw_contract(f: StructureConstants, s: Splitting, window: ModeWindow) -> Cont
 
 def contracted_jacobi_residuals(alg: ContractedAlgebra
                                 ) -> tuple[list[tuple[LoopLabel, LoopLabel, LoopLabel, LoopLabel, Fraction]], int]:
-    """Cyclic Jacobi check of the masked constants: the rows and count of the
-    windowed triples, the verdict for all modes."""
-    rows, checked, _ = class_jacobi_sweep(
-        enumerate_generators(alg.base, alg.window),
-        lambda mode: [LoopLabel(a, mode) for a in range(1, alg.base.dim + 1)],
-        alg.bracket, alg.split.representatives.triples, alg.window.max_abs_mode)
-    return rows, checked
+    """Cyclic Jacobi check of the masked bracket, read through its mode-0 slice."""
+    return slice_jacobi_residuals(alg.mode0_slice, alg.window, alg.bracket)
 
 
 class ContractionDiff(NamedTuple):

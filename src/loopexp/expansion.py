@@ -14,14 +14,13 @@ Both verdicts hold for every mode, not just a window.  Whether a label exists
 and is retained depends on its mode only through the mode's class (see
 :mod:`loopexp.splitting`), so :class:`ClosureQuotient` decides closure from
 one representative (target, source) mode pair per realizable class triple,
-and :func:`check_jacobi_expanded` decides Jacobi from one representative
-triple per rotation orbit of class patterns through
-:func:`loopexp.loop.class_jacobi_sweep`.  The window bounds only what the
-reports list and count: witnesses are enumerated over windowed modes only
-when the quotient finds a defect, and the counters are mode-counting
-formulas equal to the windowed scan's counts.  A defect none of whose
-instances fit the window is reported as a failed verdict with an empty
-witness list.
+and :func:`check_jacobi_expanded`, the one caller of
+:func:`loopexp.loop.class_jacobi_sweep`, decides Jacobi from one
+representative triple per rotation orbit of class patterns.  The window
+bounds only what the reports list and count: witnesses are enumerated over
+windowed modes only when the quotient finds a defect, and the counters are
+mode-counting formulas equal to the windowed scan's counts.  A defect none
+of whose instances fit the window gives a failed verdict and no witnesses.
 """
 
 from __future__ import annotations

@@ -5,14 +5,13 @@ symbolically in the mode via the delta factor, and :class:`ModeWindow` only
 bounds enumeration and the witness lists.
 
 The loop bracket only adds modes, so the loop algebra's Jacobi verdict is the
-base algebra's, from :func:`loopexp.algebra.validate`.  For the two masked
-brackets, expanded and contracted, :func:`class_jacobi_sweep` decides it for
-all modes: they depend on a mode only through its class, and the cyclic sum
-does not change under (x, y, z) -> (y, z, x), so one representative triple
-per rotation orbit of class patterns settles every triple in that orbit.
-Only on a defect does :func:`jacobi_sweep`, the windowed enumeration, list
-the witness rows; the windowed counts are :func:`sweep_counts` of the labels
-per mode.
+base algebra's, and the contraction's that of its mode-0 slice: both read
+:func:`loopexp.algebra.validate` through :func:`slice_jacobi_residuals`.  The
+expanded bracket's verdict comes from :func:`class_jacobi_sweep`: it depends
+on a mode only through its class, and the cyclic sum is rotation-invariant,
+so one representative triple per rotation orbit of class patterns settles
+the orbit.  Only on a defect does :func:`jacobi_sweep` list the witness rows
+of the window; the windowed counts are :func:`sweep_counts` per mode.
 """
 
 from __future__ import annotations
@@ -148,7 +147,7 @@ def class_jacobi_sweep(labels: Sequence, labels_at: Callable[[int], Sequence],
                        ) -> tuple[list[tuple], int, int]:
     """:func:`jacobi_sweep`'s rows over the windowed ``labels``, with the
     verdict taken from the representative mode ``triples``, and the
-    :func:`sweep_counts` of those labels.
+    :func:`sweep_counts` of those labels; only the expanded check uses it.
 
     ``labels_at(n)`` lists every label at mode ``n``, in or out of the window.
     When no representative triple has a nonzero residual, the identity holds
@@ -164,16 +163,17 @@ def class_jacobi_sweep(labels: Sequence, labels_at: Callable[[int], Sequence],
     return (rows, *sweep_counts(Counter(label.mode for label in labels), bound))
 
 
+def slice_jacobi_residuals(slice_: StructureConstants, window: ModeWindow,
+                           bracket: Callable) -> tuple[list[tuple], int]:
+    """The Jacobi rows of a mode-additive ``bracket`` over the windowed triples,
+    and their count.  The verdict, for every mode, is that of its mode-0 slice
+    ``slice_`` by :func:`loopexp.algebra.validate`; rows are swept only on a defect."""
+    labels, bound = enumerate_generators(slice_, window), window.max_abs_mode
+    rows = jacobi_sweep(labels, bracket, bound) if validate(slice_).jacobi else []
+    return rows, sweep_counts(Counter(label.mode for label in labels), bound)[0]
+
+
 def jacobi_residuals(f: StructureConstants, window: ModeWindow
                      ) -> tuple[list[tuple[LoopLabel, LoopLabel, LoopLabel, LoopLabel, Fraction]], int]:
-    """Cyclic Jacobi check of the loop algebra.
-
-    Returns the nonzero residual rows of the windowed triples and the number
-    of triples checked.  A loop triple's residual is the base algebra's
-    residual of its generators at the summed mode, so the verdict is
-    :func:`loopexp.algebra.validate`'s; the sweep only lists a defect's rows.
-    """
-    labels, bound = enumerate_generators(f, window), window.max_abs_mode
-    rows = (jacobi_sweep(labels, lambda x, y: loop_bracket(f, x, y), bound)
-            if validate(f).jacobi else [])
-    return rows, sweep_counts(Counter(label.mode for label in labels), bound)[0]
+    """Cyclic Jacobi check of the loop algebra, whose mode-0 slice is ``f``."""
+    return slice_jacobi_residuals(f, window, lambda x, y: loop_bracket(f, x, y))

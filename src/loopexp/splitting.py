@@ -9,11 +9,11 @@ class: its parity on the coset, zero or nonzero on the zero-mode split, one
 class on the generic split.  A label's sector, and so the existence and
 retention of every expanded structure constant, depends on a mode only
 through its class.  :class:`ModeClasses` therefore lists representative modes
-for every class pattern that mode addition realizes (for Jacobi triples, one
-per rotation orbit of patterns), and closure, Jacobi and the subalgebra and
-symmetric-coset conditions are decided for all modes from those
-representatives.  The windowed scans only list the witnesses of a failed
-verdict; the window counters are counted per mode.
+for every class pattern that mode addition realizes (for the expanded Jacobi
+triples, one per rotation orbit of patterns), and closure, expanded Jacobi and
+the subalgebra and symmetric-coset conditions are decided for all modes from
+those representatives.  The windowed scans only list the witnesses of a
+failed verdict; the window counters are counted per mode.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ class ModeClasses(NamedTuple):
     ``(l, n, l - n)``: a target mode and a source mode.  ``triples`` holds one
     ``(n, m, l)`` for each rotation orbit, under (n, m, l) -> (m, l, n), of
     the realizable class patterns of ``(n, m, l, n+m, m+l, l+n, n+m+l)``;
-    the cyclic Jacobi sum is the same at every member of an orbit.  Each
+    the cyclic Jacobi sum is the same at every member of an orbit.  Only
+    :func:`~loopexp.expansion.check_jacobi_expanded` reads them.  Each
     representative has the smallest largest ``|mode|`` among those sums (a
     value rotation keeps), so it lies in every window that holds any
     instance of its pattern or orbit.

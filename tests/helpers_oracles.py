@@ -27,7 +27,7 @@ tests use, among them the :func:`raw_tensors` strategy.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping
 
 from hypothesis import strategies as st
@@ -73,9 +73,10 @@ def oracle_jacobi_residual(dim: int, raw_entries: dict, a: int, b: int, c: int,
 def _dense_jacobi_residual(t: list, a: int, b: int, c: int, e: int) -> Fraction:
     total = Fraction(0)
     for d in range(1, len(t)):
-        total += t[a][b][d] * t[d][c][e]
-        total += t[b][c][d] * t[d][a][e]
-        total += t[c][a][d] * t[d][b][e]
+        for first, second in ((t[a][b][d], t[d][c][e]), (t[b][c][d], t[d][a][e]),
+                              (t[c][a][d], t[d][b][e])):
+            if first and second:
+                total += first * second
     return total
 
 
@@ -340,7 +341,7 @@ def legacy_graded_series_json(graded):
     return rows
 
 
-# Memoised: a series shares each monomial among many terms.
+# Memoised: a series shares each monomial, and many coefficients, among many terms.
 @cache
 def _label(factor):
     mode, gen = factor
@@ -352,9 +353,14 @@ def _monomial(mon):
     return CoordMonomial(tuple(map(_label, mon)))
 
 
+@cache
+def _coefficient(num, den):
+    return Fraction(num, den)
+
+
 def as_fractions(poly, denominators):
     """The adapter: a store one-form as ``{(CoordMonomial, LoopLabel): Fraction}``."""
-    return {(_monomial(mon), _label(diff)): Fraction(num, denominators[len(mon)])
+    return {(_monomial(mon), _label(diff)): _coefficient(num, denominators[len(mon)])
             for (mon, diff), num in poly.terms.items()}
 
 
@@ -555,15 +561,18 @@ def legacy_canonical_form_series(f, window, degree):
                 if abs(mode) > bound:
                     censored += len(terms) * len(row)
                     continue
+                # Zero sums are dropped once the step is complete.
+                accs = [(nxt.setdefault(LoopLabel(target_gen, mode), {}), fv)
+                        for target_gen, fv in row] if terms else []
                 for (mon, diff), coef in terms.items():
-                    mon2 = CoordMonomial.of(mon.labels + (coord,))
-                    for target_gen, fv in row:
-                        _add(nxt.setdefault(LoopLabel(target_gen, mode), {}),
-                             (mon2, diff), coef * fv)
+                    key = (CoordMonomial.of(mon.labels + (coord,)), diff)
+                    for acc, fv in accs:
+                        acc[key] = acc.get(key, 0) + coef * fv
+        nxt = {label: {key: value for key, value in terms.items() if value}
+               for label, terms in nxt.items()}
+        # A key of degree k arises only at step k, so it is new to its bucket.
         for label, terms in nxt.items():
-            bucket = out[label]
-            for key, value in terms.items():
-                _add(bucket, key, value * prefactor)
+            out[label].update((key, value * prefactor) for key, value in terms.items())
         current = nxt
         if not current:
             break
@@ -587,8 +596,10 @@ def windowed_check_closure(f, s, n0, n1, window):
                         report.window_censored += 1
                         continue
                     x = make_label(s, a, n, beta)
+                    if x is None:
+                        continue
                     y = make_label(s, b, m, gamma)
-                    if x is None or y is None:
+                    if y is None:
                         continue
                     for source in (x, y):
                         if source.order > (n0, n1)[source.sector]:
@@ -614,28 +625,41 @@ def windowed_jacobi_sweep(labels, bracket, bound):
     """Cyclic Jacobi sweep over the label triples whose pairwise and total mode
     sums stay within ``bound``: the nonzero residual rows (targets sorted
     within a triple), the triples checked, and the window skips, one per
-    skipped pair plus one per skipped third label of a kept pair.  The
-    bracket's rows are memoised for this call only."""
-    bracket = cache(bracket)
+    skipped pair plus one per skipped third label of a kept pair.
+
+    The bracket is read once per windowed pair, as rows of label indices and
+    integer numerators over the lcm of its denominators, so each cyclic sum
+    is exact integer arithmetic; a residual is its sum over that lcm squared."""
+    labels = list(labels)
+    index = {label: i for i, label in enumerate(labels)}
+    modes = [label.mode for label in labels]
+    span = range(len(labels))
+    raw = {(i, j): bracket(labels[i], labels[j]).items()
+           for i in span for j in span if abs(modes[i] + modes[j]) <= bound}
+    scale = lcm(*(v.denominator for row in raw.values() for _, v in row))
+    table = [[None] * len(labels) for _ in span]
+    for (i, j), row in raw.items():
+        table[i][j] = [(index[z], v.numerator * (scale // v.denominator)) for z, v in row]
     rows, checked, skipped = [], 0, 0
-    for x in labels:
-        for y in labels:
-            if abs(x.mode + y.mode) > bound:
+    for i in span:
+        for j in span:
+            if abs(modes[i] + modes[j]) > bound:
                 skipped += 1
                 continue
-            for z in labels:
-                if (abs(y.mode + z.mode) > bound or abs(z.mode + x.mode) > bound
-                        or abs(x.mode + y.mode + z.mode) > bound):
+            for k in span:
+                if (abs(modes[j] + modes[k]) > bound or abs(modes[k] + modes[i]) > bound
+                        or abs(modes[i] + modes[j] + modes[k]) > bound):
                     skipped += 1
                     continue
                 checked += 1
                 acc = {}
-                for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-                    for mid, f1 in bracket(u, v).items():
-                        for out, f2 in bracket(mid, w).items():
+                for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+                    for mid, f1 in table[u][v]:
+                        for out, f2 in table[mid][w]:
                             acc[out] = acc.get(out, 0) + f1 * f2
-                rows.extend((x, y, z, target, value)
-                            for target, value in sorted(acc.items()) if value)
+                rows.extend((labels[i], labels[j], labels[k], target, Fraction(value, scale ** 2))
+                            for target, value in sorted((labels[t], value)
+                                                        for t, value in acc.items()) if value)
     return rows, checked, skipped
 
 

@@ -213,6 +213,27 @@ def test_masked_jacobi_verdicts_are_validate_verdicts(case, m):
     assert bool(contracted_jacobi_residuals(masked)[0]) == bool(validate(mode0).jacobi)
 
 
+@settings(max_examples=40, deadline=None)
+@given(raw_splittings())
+def test_mode0_slice_is_the_base_without_its_dropped_patterns(case):
+    # The contraction's mode-0 slice keeps every pair row of the base on the
+    # mode-graded kinds, whose mode-0 labels are all in sector 0.  On the
+    # generic kind it drops the entries whose target sector, from V0, is not
+    # the sum of the source sectors.
+    f, split = case
+    slice_ = ContractedAlgebra(f, split, ModeWindow(0)).mode0_slice
+
+    def kept(*gens):
+        if split.kind is not SplitKind.GENERIC_INDEX:
+            return True
+        c, a, b = (int(g not in split.v0_gens) for g in gens)
+        return c == a + b
+
+    for a, b in product(range(1, f.dim + 1), repeat=2):
+        assert slice_.pair_targets(a, b) == tuple(
+            (c, v) for c, v in f.pair_targets(a, b) if kept(c, a, b))
+
+
 @pytest.mark.parametrize("name", ["epsilon3", "solvable2", "eps+solvable"])
 @pytest.mark.parametrize("kind", list(SplitKind))
 def test_sweep_matrix_matches_windowed_scans(name, kind):
@@ -353,6 +374,9 @@ def test_windowed_scans_run_only_on_a_failed_verdict(monkeypatch):
     def refuse(*args):
         raise AssertionError("a windowed scan ran")
 
+    def refuse_triples(*args):
+        raise AssertionError("a representative triple sweep ran")
+
     for module, name in WITNESS_LISTERS:
         monkeypatch.setattr(f"loopexp.{module}.{name}", refuse)
     window = ModeWindow(2)
@@ -363,11 +387,16 @@ def test_windowed_scans_run_only_on_a_failed_verdict(monkeypatch):
     assert jacobi_residuals(GL3, window)[0] == []
     # The base audit walks the tensor's support, failing or not.
     assert validate(GL3).is_valid and validate(NONLIE).jacobi
-    assert contracted_jacobi_residuals(contracted)[0] == []
     assert check_jacobi_expanded(GL3, COSET, 2, 1, window).ok
+    # The contraction takes its verdict from its mode-0 slice, never from
+    # the representative triples, whether it passes or fails.
+    monkeypatch.setattr(loop, "class_jacobi_sweep", refuse_triples)
+    monkeypatch.setattr(loop, "_label_triples", refuse_triples)
+    assert contracted_jacobi_residuals(contracted)[0] == []
     # A failed verdict calls each lister.
     zero_mode = make_splitting(SplitKind.ZERO_MODE_SUBALGEBRA)
     for failing in (lambda: jacobi_residuals(NONLIE, window),
+                    lambda: contracted_jacobi_residuals(iw_contract(NONLIE, COSET, window)),
                     lambda: check_closure(EPS, COSET, 0, 3, window),
                     lambda: check_symmetric_coset(EPS, zero_mode, window),
                     lambda: compare_with_expansion(_Shifted(GL3, COSET, window))):
