@@ -85,21 +85,19 @@ def exp_series(a: dict, dim: int, max_degree: int) -> dict:
 
 def decompose(matrix: list, basis: dict) -> dict:
     """The coefficients w with matrix = sum w_c basis[c], by exact elimination;
-    the matrix must lie in the span of the basis."""
+    the basis must be linearly independent and the matrix in its span."""
     gens = sorted(basis)
     dim = len(matrix)
     rows = [[basis[c][i][j] for c in gens] + [matrix[i][j]]
             for i in range(dim) for j in range(dim)]
-    pivots = []
     for col in range(len(gens)):
-        pivot = next(r for r in range(len(pivots), len(rows)) if rows[r][col])
-        rows[len(pivots)], rows[pivot] = rows[pivot], rows[len(pivots)]
-        lead = rows[len(pivots)]
+        pivot = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col]
         lead[:] = [v / lead[col] for v in lead]
         for r, row in enumerate(rows):
-            if r != len(pivots) and row[col]:
+            if r != col and row[col]:
                 row[:] = [v - row[col] * w for v, w in zip(row, lead)]
-        pivots.append(col)
     assert not any(row[-1] for row in rows[len(gens):]), "not in the algebra"
     return {c: rows[i][-1] for i, c in enumerate(gens)}
 
