@@ -21,7 +21,7 @@ from .expansion import (NAMED_CASES, ClosureQuotient, ExpandedAlgebra, ExpandedL
                         build_named)
 from .jsonout import json_chunks
 from .loop import ModeWindow
-from .mcforms import (DegreeTooLow, canonical_form_series, check_grading,
+from .mcforms import (DegreeTooLow, canonical_form_series, check_degree, check_grading,
                       graded_series_json, monomial_json, rescale_and_collect,
                       verify_mc_equations)
 from .splitting import SplitKind, Splitting, make_splitting, split_to_dict
@@ -272,9 +272,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     f = _load_algebra_spec(args.algebra)
     window = ModeWindow(args.window)
     split = _make_split(args, f.dim)
-    if args.degree < args.alpha_max + 1:
-        raise UsageError(f"degree {args.degree} too low for alpha_max "
-                         f"{args.alpha_max}; need degree >= {args.alpha_max + 1}")
+    check_degree(args.degree, args.alpha_max)
     series = canonical_form_series(f, window, args.degree)
     graded = rescale_and_collect(series, split)
     residuals = verify_mc_equations(graded, args.alpha_max)

@@ -8,10 +8,10 @@ mode-parity coset this is the contraction with respect to the even-mode
 subalgebra and the order-(0,1) expansion, generator for generator: mask and
 retention rule keep the same sector patterns, so a mismatch means they
 disagree in code.  Both verdicts hold for every mode.  Jacobi, on any kind,
-is decided by :attr:`ContractedAlgebra.mode0_slice`; the comparison compares
-brackets on the coset's representative (target, source) mode pairs.  The
-window bounds only the listed rows and diffs, enumerated only on a defect,
-and the triple count.
+is decided by :attr:`ContractedAlgebra.mode0_slice` and listed as the loop
+check lists it; the comparison compares brackets on the coset's
+representative (target, source) mode pairs.  The window bounds only the
+listed rows and diffs, enumerated only on a defect, and the triple count.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterator, NamedTuple
 
-from .algebra import StructureConstants
+from .algebra import StructureConstants, validate
 from .expansion import ExpandedAlgebra, ExpandedLabel, make_label
-from .loop import (LoopLabel, ModeWindow, enumerate_generators, loop_bracket,
-                   slice_jacobi_residuals, window_pairs)
+from .loop import (LoopLabel, ModeWindow, enumerate_generators, jacobi_rows, loop_bracket,
+                   window_pairs)
 from .splitting import SplitKind, Splitting
 
 
@@ -74,8 +74,11 @@ def iw_contract(f: StructureConstants, s: Splitting, window: ModeWindow) -> Cont
 
 def contracted_jacobi_residuals(alg: ContractedAlgebra
                                 ) -> tuple[list[tuple[LoopLabel, LoopLabel, LoopLabel, LoopLabel, Fraction]], int]:
-    """Cyclic Jacobi check of the masked bracket, read through its mode-0 slice."""
-    return slice_jacobi_residuals(alg.mode0_slice, alg.window, alg.bracket)
+    """Cyclic Jacobi check of the masked bracket, whose verdict at every mode is
+    that of its mode-0 slice by :func:`loopexp.algebra.validate`."""
+    slice_, window = alg.mode0_slice, alg.window
+    return jacobi_rows(bool(validate(slice_).jacobi), enumerate_generators(slice_, window),
+                       alg.bracket, window.max_abs_mode)[:2]
 
 
 class ContractionDiff(NamedTuple):

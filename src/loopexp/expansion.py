@@ -14,13 +14,14 @@ Both verdicts hold for every mode, not just a window.  Whether a label exists
 and is retained depends on its mode only through the mode's class (see
 :mod:`loopexp.splitting`), so :class:`ClosureQuotient` decides closure from
 one representative (target, source) mode pair per realizable class triple,
-and :func:`check_jacobi_expanded`, the one caller of
-:func:`loopexp.loop.class_jacobi_sweep`, decides Jacobi from one
-representative triple per rotation orbit of class patterns.  The window
-bounds only what the reports list and count: witnesses are enumerated over
-windowed modes only when the quotient finds a defect, and the counters are
-mode-counting formulas equal to the windowed scan's counts.  A defect none
-of whose instances fit the window gives a failed verdict and no witnesses.
+and :func:`check_jacobi_expanded` decides Jacobi from one representative
+triple per rotation orbit of class patterns
+(:meth:`~loopexp.splitting.ModeClasses.jacobi_defect`) and lists its rows
+through :func:`loopexp.loop.jacobi_rows`, as the loop check does.  The
+window bounds only what the reports list and count: witnesses are enumerated
+over windowed modes only when the quotient finds a defect, and the counters
+are mode-counting formulas equal to the windowed scan's counts.  A defect
+none of whose instances fit the window gives a failed verdict and no witnesses.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import StructureConstants
-from .loop import LoopLabel, ModeWindow, class_jacobi_sweep
+from .loop import LoopLabel, ModeWindow, jacobi_rows
 from .splitting import SplitKind, Splitting, make_splitting, pair_modes, sector_patterns
 
 
@@ -229,9 +230,8 @@ def check_jacobi_expanded(f: StructureConstants, s: Splitting, n0: int, n1: int,
         raise NotClosed(f"truncation ({n0},{n1}) is not closed; "
                         f"{len(closure.violations)} violations")
     alg = ExpandedAlgebra(f, s, n0, n1, window)
-    rows, checked, skipped = class_jacobi_sweep(
-        alg.generators, alg.labels_at, alg.bracket, s.representatives.triples,
-        window.max_abs_mode)
+    defect = s.representatives.jacobi_defect(alg.labels_at, alg.bracket)
+    rows, checked, skipped = jacobi_rows(defect, alg.generators, alg.bracket, window.max_abs_mode)
     residuals = [JacobiResidual(*r) for r in rows]
     return ExpandedJacobiReport(not residuals, residuals, checked, skipped)
 

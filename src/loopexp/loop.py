@@ -4,13 +4,11 @@ The algebra itself is infinite-dimensional; structure constants are evaluated
 symbolically in the mode via the delta factor, and :class:`ModeWindow` only
 bounds enumeration and the witness lists.
 
-The loop bracket only adds modes, so the loop algebra's Jacobi verdict is the
-base algebra's, and the contraction's that of its mode-0 slice: both read
-:func:`loopexp.algebra.validate` through :func:`slice_jacobi_residuals`.  The
-expanded bracket's verdict comes from :func:`class_jacobi_sweep`: it depends
-on a mode only through its class, and the cyclic sum is rotation-invariant,
-so one representative triple per rotation orbit of class patterns settles
-the orbit.  Only on a defect does :func:`jacobi_sweep` list the witness rows
+The loop, contracted and expanded brackets all add modes, so their Jacobi
+checks share :func:`jacobi_rows` and differ only in their verdict source:
+:func:`loopexp.algebra.validate` of the mode-0 slice for the loop algebra and
+the contraction, :meth:`loopexp.splitting.ModeClasses.jacobi_defect` for an
+expansion.  Only on a defect does :func:`jacobi_sweep` list the witness rows
 of the window; the windowed counts are :func:`sweep_counts` per mode.
 """
 
@@ -20,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
 from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
 from .algebra import StructureConstants, validate
@@ -131,49 +128,18 @@ def sweep_counts(per_mode: dict[int, int], bound: int) -> tuple[int, int]:
     return checked, skipped
 
 
-def _label_triples(xs: Sequence, ys: Sequence, zs: Sequence) -> Iterator[tuple]:
-    """The triples of ``xs × ys × zs``; when the three are one list, one
-    triple per rotation orbit, since the cyclic sum is the same at each."""
-    if xs is ys is zs:
-        turns = ((i, j, k) for i, j, k in product(range(len(xs)), repeat=3)
-                 if (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j))
-        return ((xs[i], xs[j], xs[k]) for i, j, k in turns)
-    return product(xs, ys, zs)
-
-
-def class_jacobi_sweep(labels: Sequence, labels_at: Callable[[int], Sequence],
-                       bracket: Callable[[Hashable, Hashable], dict],
-                       triples: Sequence[tuple[int, int, int]], bound: int
-                       ) -> tuple[list[tuple], int, int]:
-    """:func:`jacobi_sweep`'s rows over the windowed ``labels``, with the
-    verdict taken from the representative mode ``triples``, and the
-    :func:`sweep_counts` of those labels; only the expanded check uses it.
-
-    ``labels_at(n)`` lists every label at mode ``n``, in or out of the window.
-    When no representative triple has a nonzero residual, the identity holds
-    at every triple of every mode and the rows are empty without a sweep;
-    otherwise the windowed sweep lists them.  A defect whose representatives
-    lie outside the window then gives no rows.
-    """
-    row = cache(bracket)
-    at = {mode: labels_at(mode) for triple in triples for mode in triple}
-    defect = any(any(_cyclic_sum(row, *labels).values()) for n, m, l in triples
-                 for labels in _label_triples(at[n], at[m], at[l]))
+def jacobi_rows(defect: bool, labels: Sequence, bracket: Callable[[Hashable, Hashable], dict],
+                bound: int) -> tuple[list[tuple], int, int]:
+    """A Jacobi check's rows and counts over the windowed ``labels``, given its
+    verdict: :func:`jacobi_sweep`'s rows, swept only on a ``defect`` (which
+    may then have none in the window), and the :func:`sweep_counts`."""
     rows = jacobi_sweep(labels, bracket, bound) if defect else []
     return (rows, *sweep_counts(Counter(label.mode for label in labels), bound))
 
 
-def slice_jacobi_residuals(slice_: StructureConstants, window: ModeWindow,
-                           bracket: Callable) -> tuple[list[tuple], int]:
-    """The Jacobi rows of a mode-additive ``bracket`` over the windowed triples,
-    and their count.  The verdict, for every mode, is that of its mode-0 slice
-    ``slice_`` by :func:`loopexp.algebra.validate`; rows are swept only on a defect."""
-    labels, bound = enumerate_generators(slice_, window), window.max_abs_mode
-    rows = jacobi_sweep(labels, bracket, bound) if validate(slice_).jacobi else []
-    return rows, sweep_counts(Counter(label.mode for label in labels), bound)[0]
-
-
 def jacobi_residuals(f: StructureConstants, window: ModeWindow
                      ) -> tuple[list[tuple[LoopLabel, LoopLabel, LoopLabel, LoopLabel, Fraction]], int]:
-    """Cyclic Jacobi check of the loop algebra, whose mode-0 slice is ``f``."""
-    return slice_jacobi_residuals(f, window, lambda x, y: loop_bracket(f, x, y))
+    """Cyclic Jacobi check of the loop algebra, whose verdict at every mode is
+    that of its mode-0 slice ``f`` by :func:`loopexp.algebra.validate`."""
+    return jacobi_rows(bool(validate(f).jacobi), enumerate_generators(f, window),
+                       lambda x, y: loop_bracket(f, x, y), window.max_abs_mode)[:2]

@@ -255,6 +255,14 @@ def _folded_pairs(f: StructureConstants, c: int) -> list[tuple[int, int, Fractio
     return [row for row in scaled if row[2]]
 
 
+def check_degree(degree: int, alpha_max: int) -> None:
+    """Refuse a series degree D too low for :func:`verify_mc_equations`: its terms
+    have degree at most D-2, so none form below D = 2, and order alpha needs D > alpha."""
+    if degree < max(2, alpha_max + 1):
+        raise DegreeTooLow(f"degree {degree} cannot support order {alpha_max}; "
+                           f"need degree >= {max(2, alpha_max + 1)}")
+
+
 def verify_mc_equations(graded: GradedSeriesResult, alpha_max: int) -> McResidualReport:
     """Check d w^{c,l;alpha} = -(1/2) f sum_beta w^{a,n;beta} w^{b,m;alpha-beta}.
 
@@ -274,9 +282,7 @@ def verify_mc_equations(graded: GradedSeriesResult, alpha_max: int) -> McResidua
     if type(alpha_max) is not int or alpha_max < 0:
         raise InvalidOrder(f"alpha_max must be a non-negative integer, got {alpha_max!r}")
     degree = graded.degree
-    if degree < alpha_max + 1:
-        raise DegreeTooLow(f"degree {degree} cannot support order {alpha_max}; "
-                           f"need degree >= {alpha_max + 1}")
+    check_degree(degree, alpha_max)
     f, window = graded.base, graded.window
     bound = window.max_abs_mode
     series_den = lcm(*graded.denominators)

@@ -24,10 +24,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
 from .algebra import StructureConstants
-from .loop import LoopLabel, ModeWindow, enumerate_generators, window_pairs
+from .loop import LoopLabel, ModeWindow, _cyclic_sum, enumerate_generators, window_pairs
 
 
 class SplitKind(Enum):
@@ -78,7 +78,8 @@ class ModeClasses(NamedTuple):
     ``(n, m, l)`` for each rotation orbit, under (n, m, l) -> (m, l, n), of
     the realizable class patterns of ``(n, m, l, n+m, m+l, l+n, n+m+l)``;
     the cyclic Jacobi sum is the same at every member of an orbit.  Only
-    :func:`~loopexp.expansion.check_jacobi_expanded` reads them.  Each
+    :meth:`jacobi_defect`, the verdict of
+    :func:`~loopexp.expansion.check_jacobi_expanded`, reads them.  Each
     representative has the smallest largest ``|mode|`` among those sums (a
     value rotation keeps), so it lies in every window that holds any
     instance of its pattern or orbit.
@@ -86,6 +87,25 @@ class ModeClasses(NamedTuple):
 
     pairs: tuple[tuple[int, int], ...]
     triples: tuple[tuple[int, int, int], ...]
+
+    def jacobi_defect(self, labels_at: Callable[[int], Sequence],
+                      bracket: Callable[[Hashable, Hashable], dict]) -> bool:
+        """Whether ``bracket`` has a nonzero cyclic sum at a label triple of some
+        representative in :attr:`triples`; ``labels_at(n)`` lists every label at mode n."""
+        row = cache(bracket)
+        at = {mode: labels_at(mode) for triple in self.triples for mode in triple}
+        return any(any(_cyclic_sum(row, *labels).values()) for n, m, l in self.triples
+                   for labels in _label_triples(at[n], at[m], at[l]))
+
+
+def _label_triples(xs: Sequence, ys: Sequence, zs: Sequence) -> Iterator[tuple]:
+    """The triples of ``xs × ys × zs``; when the three are one list, one
+    triple per rotation orbit, since the cyclic sum is the same at each."""
+    if xs is ys is zs:
+        turns = ((i, j, k) for i, j, k in product(range(len(xs)), repeat=3)
+                 if (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j))
+        return ((xs[i], xs[j], xs[k]) for i, j, k in turns)
+    return product(xs, ys, zs)
 
 
 def pair_modes(pair: tuple[int, int]) -> tuple[int, int, int]:

@@ -781,3 +781,19 @@ def raw_tensors(draw, min_dim=1, max_dim=4):
                         if entries else st.just([])):
         entries[(b, a, c)] = draw(st.just(-entries[(a, b, c)]) | value)
     return StructureConstants(dim, entries, name="raw")
+
+
+@st.composite
+def antisymmetric_tensors(draw, min_dim=2, max_dim=4):
+    """An antisymmetric tensor with small rational values: each drawn f_ab^c
+    with a < b is stored with f_ba^c = -f_ab^c.  Jacobi may fail."""
+    dim = draw(st.integers(min_dim, max_dim))
+    keys = [((a, b), c) for a in range(1, dim + 1) for b in range(a + 1, dim + 1)
+            for c in range(1, dim + 1)]
+    value = st.fractions(-2, 2, max_denominator=3)
+    drawn = draw(st.dictionaries(st.sampled_from(keys), value, min_size=2,
+                                 max_size=min(3 * dim, len(keys))))
+    entries = {}
+    for ((a, b), c), v in drawn.items():
+        entries[(a, b, c)], entries[(b, a, c)] = v, -v
+    return StructureConstants(dim, entries, name="antisymmetric")

@@ -183,6 +183,25 @@ def test_mc_degree_too_low():
                "--degree", "1", "--alpha-max", "2", "--window", "1") == 2
 
 
+def test_mc_at_degree_one_is_refused_not_passed(tmp_path, capsys):
+    # Residual terms have degree at most D-2, so at D = 1 no term is formed:
+    # this non-Lie tensor once passed there with terms_checked 0 and exit 0.
+    fixture = tmp_path / "nonlie.json"
+    entries = [{"a": a, "b": b, "c": c, "value": "1"}
+               for a, b, c in ((1, 2, 3), (1, 3, 1), (2, 3, 2))]
+    fixture.write_text(json.dumps({"dim": 3, "entries": entries}), encoding="utf-8")
+    out = tmp_path / "mc.json"
+    argv = ["mc", "--algebra", str(fixture), "--split", "mode_parity", "--alpha-max", "0",
+            "-M", "0", "--out", str(out)]
+    assert run("validate", "--algebra", str(fixture), "--out", str(out)) == 1
+    assert len(read(out)["jacobi_defects"]) == 6
+    out.unlink()
+    assert run(*argv, "-D", "1") == 2
+    assert capsys.readouterr().err.startswith("error: ") and not out.exists()
+    assert run(*argv, "-D", "2") == 0
+    assert run(*argv, "-D", "3") == 1 and not read(out)["residuals_ok"]
+
+
 def test_window_zero_does_not_pass_an_unclosed_truncation(tmp_path):
     # At -M 1 the same truncation has 24 closure violations.
     out = tmp_path / "report.json"
@@ -320,6 +339,12 @@ def test_config_keys_outside_the_settings_table_are_ignored(tmp_path, capsys):
 
 
 GENERIC_EXPAND = ["expand", "-a", "epsilon3", "--split", "generic"]
+
+
+class RawText(str):
+    """A config file's text, written as it stands rather than as JSON."""
+
+
 ONE_ENTRY = {"a": 1, "b": 2, "c": 3, "value": "1"}
 
 
@@ -335,13 +360,20 @@ ONE_ENTRY = {"a": 1, "b": 2, "c": 3, "value": "1"}
     (["sweep", "-a", "epsilon3"], {"splitting": {"kind": "nope"}}, None),
     (["sweep", "-a", "epsilon3"], {"splitting": {"kind": ["mode_parity"]}}, None),
     (["sweep", "-a", "epsilon3"], {"splitting": {"kind": "mode_parity", "v0_gens": [1]}}, None),
+    (GENERIC_EXPAND + ["--v0-gens", "1,x"], None, None),
+    (["validate", "-a", "epsilon3", "--config", "{missing}"], None, None),
+    (["validate", "-a", "epsilon3"], RawText('{"window": 1'), None),
+    (["sweep", "-a", "epsilon3"], {"splitting": ["mode_parity"]}, None),
 ], ids=["string-window", "list-config", "negative-n0-max", "float-v0-gens", "bool-v0-gens",
         "bool-dim", "bool-index", "list-name", "unknown-kind", "list-kind",
-        "v0-gens-on-mode-parity"])
+        "v0-gens-on-mode-parity", "non-integer-v0-gens", "missing-config", "non-json-config",
+        "list-splitting"])
 def test_malformed_config_is_usage_error(argv, config, algebra, tmp_path, capsys):
+    argv = [str(tmp_path / "missing.json") if arg == "{missing}" else arg for arg in argv]
     if config is not None:
         path = tmp_path / "run.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
+        text = config if isinstance(config, RawText) else json.dumps(config)
+        path.write_text(text, encoding="utf-8")
         argv = argv + ["--config", str(path)]
     if algebra is not None:
         path = tmp_path / "algebra.json"

@@ -4,14 +4,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopexp import (ClosureQuotient, ExpandedAlgebra, ExpandedLabel, InadmissibleLabel,
-                     IndexOutOfRange, LoopLabel, ModeWindow, NotClosed, SplitKind,
-                     UnknownCase, build_named, builtin_algebra, check_closure,
+from loopexp import (BUILTIN_NAMES, ClosureQuotient, ExpandedAlgebra, ExpandedLabel,
+                     InadmissibleLabel, IndexOutOfRange, LoopLabel, ModeWindow, NotClosed,
+                     SplitKind, UnknownCase, build_named, builtin_algebra, check_closure,
                      check_jacobi_expanded, generator_set, loop_structure_constant,
                      make_splitting)
 
-from helpers_oracles import dense_tensor, expanded_constant
+from helpers_oracles import dense_tensor, expanded_constant, raw_tensors
 
 EPS = builtin_algebra("epsilon3")
 ABELIAN = builtin_algebra("abelian4")
@@ -327,3 +329,74 @@ def test_expanded_algebra_constant_rejects_unretained():
     with pytest.raises(InadmissibleLabel):
         alg.constant(ExpandedLabel(1, 0, 1, 0), ExpandedLabel(2, 0, 0, 0),
                      ExpandedLabel(3, 0, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# The S-expansion over S_E^(N)
+# ---------------------------------------------------------------------------
+
+ZERO_S = "0_S"
+
+
+def s_expansion(f, n_max, window):
+    """The resonant, 0_S-reduced S-expansion of the loop algebra of ``f`` over
+    S_E^(N) = {lambda_0, ..., lambda_N, 0_S}, built from the semigroup's own
+    multiplication table: lambda_a lambda_b = lambda_{a+b} if a + b <= N, else 0_S.
+
+    The even and odd lambdas (each with 0_S) are a resonant decomposition for
+    the even and odd modes, so the resonant subalgebra pairs even lambdas with
+    even modes and odd with odd.  Its windowed labels are ``(gen, mode, a)``
+    for lambda_a T_gen^mode; 0_S-reduction drops every term at 0_S.
+    """
+    table = {(a, b): a + b if a + b <= n_max else ZERO_S
+             for a in range(n_max + 1) for b in range(n_max + 1)}
+    gens = range(1, f.dim + 1)
+    labels = [(g, n, a) for n in window.modes() for g in gens
+              for a in range(n_max + 1) if a % 2 == n % 2]
+    targets = {(a, b): [(c, f.entry(a, b, c)) for c in gens if f.entry(a, b, c)]
+               for a in gens for b in gens}
+
+    def bracket(x, y):
+        power = table[x[2], y[2]]
+        if power == ZERO_S:
+            return {}
+        return {(c, x[1] + y[1], power): v for c, v in targets[x[0], y[0]]}
+
+    return labels, bracket
+
+
+def _largest(parity, cap):
+    """The largest order of ``parity`` at most ``cap``, or None."""
+    return next((k for k in range(cap, -1, -1) if k % 2 == parity), None)
+
+
+# (N0, N1, N) with E0 <= 4 the largest even order <= N0 and E1 the largest odd
+# one <= N1: E1 = E0 +- 1 and N = max(E0, E1), or no E1, E0 = 0 and N = 0.
+S_TRUNCATIONS = [(n0, n1, max(e0, e1 or 0)) for n0 in range(6) for n1 in range(7)
+                 for e0, e1 in [(_largest(0, n0), _largest(1, n1))]
+                 if e0 <= 4 and (abs(e0 - e1) == 1 if e1 is not None else e0 == 0)]
+
+
+def assert_s_expansion_is_the_parity_expansion(f, window):
+    quotient = ClosureQuotient(f, COSET, window)
+    for n0, n1, n_max in S_TRUNCATIONS:
+        alg = ExpandedAlgebra(f, COSET, n0, n1, window)
+        labels, bracket = s_expansion(f, n_max, window)
+        assert sorted((x.gen, x.mode, x.order) for x in alg.generators) == sorted(labels)
+        assert quotient.cell(n0, n1).closed
+        for x in alg.generators:
+            for y in alg.generators:
+                expanded = {(z.gen, z.mode, z.order): v for z, v in alg.bracket(x, y).items()}
+                assert expanded == bracket((x.gen, x.mode, x.order), (y.gen, y.mode, y.order))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("m", [0, 1])
+def test_s_expansion_rebuilds_the_parity_expansion(name, m):
+    assert_s_expansion_is_the_parity_expansion(builtin_algebra(name), ModeWindow(m))
+
+
+@settings(max_examples=10, deadline=None)
+@given(raw_tensors(), st.integers(0, 1))
+def test_s_expansion_rebuilds_the_parity_expansion_of_raw_tensors(f, m):
+    assert_s_expansion_is_the_parity_expansion(f, ModeWindow(m))

@@ -12,19 +12,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopexp import (DegreeTooLow, FormPolynomial, GradedSeriesResult, InvalidDegree,
                      InvalidOrder, LoopLabel, ModeWindow, SplitKind, StructureConstants,
                      algebra_from_dict, builtin_algebra, canonical_form_series,
                      check_grading, graded_series_json, make_splitting,
-                     rescale_and_collect, verify_mc_equations)
+                     rescale_and_collect, validate, verify_mc_equations)
 from loopexp.loop import label_key
 from loopexp.mcforms import residual_term_safe, term_mode_safe
 
-from helpers_oracles import (CoordMonomial, FractionForm, TwoForm, as_fractions,
-                             dense_tensor, exterior_derivative, finite_bch_series,
+from helpers_oracles import (CoordMonomial, FractionForm, TwoForm, antisymmetric_tensors,
+                             as_fractions, dense_tensor, exterior_derivative, finite_bch_series,
                              fraction_forms, fraction_graded, fraction_residual,
                              kind_branch_grading, legacy_canonical_form_series,
                              legacy_graded_series_json, legacy_rescale_and_collect,
@@ -581,6 +581,11 @@ def test_residual_pass_matches_legacy_oracle(name, kind, window, degree, data):
         window, degree = min(window, 1), min(degree, 3)
     alpha_max = data.draw(st.integers(0, degree - 1))
     f, split, graded = _graded(name, kind, window, degree)
+    if degree == 1:
+        # Residual terms have degree at most D-2, so D = 1 would check none.
+        with pytest.raises(DegreeTooLow):
+            verify_mc_equations(graded, alpha_max)
+        return
     new = verify_mc_equations(graded, alpha_max)
     old = legacy_verify_mc_equations(fraction_graded(graded), f, split, alpha_max,
                                      ModeWindow(window))
@@ -595,6 +600,29 @@ def test_residual_pass_reports_raw_tensor_violations_like_the_oracle():
     assert not new.ok
     assert list(map(fraction_residual, new.violations)) == legacy_verify_mc_equations(
         fraction_graded(graded), f, split, 2, ModeWindow(1)).violations
+
+
+# f_12^3 = f_13^1 = f_23^2 = 1: antisymmetric, with six Jacobi defects.
+NON_LIE = StructureConstants(3, {(1, 2, 3): 1, (2, 1, 3): -1, (1, 3, 1): 1, (3, 1, 1): -1,
+                                 (2, 3, 2): 1, (3, 2, 2): -1}, name="non-lie")
+# (M, D, alpha_max) at which the mc verdict must be validate's.
+JACOBI_VISIBLE = [(0, 3, 0), (1, 3, 1), (0, 4, 0)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(antisymmetric_tensors(), st.sampled_from([ZERO_MODE, COSET]))
+@example(NON_LIE, ZERO_MODE)
+@example(NON_LIE, COSET)
+def test_mc_sees_a_jacobi_defect_from_degree_three(f, split):
+    # The Jacobi identity is the degree-1 MC equation and residual terms have
+    # degree at most D-2, so the mc verdict on the mode-graded kinds is
+    # validate's from D = 3, while at D = 2 every antisymmetric tensor passes.
+    lie = not validate(f).jacobi
+    assert f is not NON_LIE or not lie
+    for window, degree, alpha_max in JACOBI_VISIBLE + [(0, 2, 0), (1, 2, 1)]:
+        graded = rescale_and_collect(canonical_form_series(f, ModeWindow(window), degree),
+                                     split)
+        assert verify_mc_equations(graded, alpha_max).ok == (lie or degree == 2)
 
 
 SERIES_ALGEBRAS = {"epsilon3": EPS, "solvable2": builtin_algebra("solvable2"),

@@ -20,7 +20,7 @@ from loopexp import (ClosureQuotient, ContractedAlgebra, ExpandedAlgebra, ModeWi
                      check_subalgebra, check_symmetric_coset, compare_with_expansion,
                      contracted_jacobi_residuals, generator_set, iw_contract,
                      jacobi_residuals, make_splitting, validate)
-from loopexp import LoopLabel, enumerate_generators, loop
+from loopexp import LoopLabel, enumerate_generators, splitting
 from loopexp.splitting import (MODE_CLASSES, find_representatives, pair_modes,
                                triple_modes)
 
@@ -311,8 +311,9 @@ def test_equal_mode_representative_sums_one_triple_per_rotation(monkeypatch):
     # first has three equal modes; it needs (18**3 + 2*18) / 3 = 1956 sums, one
     # per rotation orbit of label triples, where all of them would be 5832.
     calls = []
-    cyclic_sum = loop._cyclic_sum
-    monkeypatch.setattr(loop, "_cyclic_sum", lambda *args: calls.append(1) or cyclic_sum(*args))
+    cyclic_sum = splitting._cyclic_sum
+    monkeypatch.setattr(splitting, "_cyclic_sum",
+                        lambda *args: calls.append(1) or cyclic_sum(*args))
     assert check_jacobi_expanded(GL3, COSET, 2, 1, ModeWindow(2)).ok
     assert len(calls) == 1956 + 18 * 18 * 9 + 18 * 9 * 9 + 9 ** 3 == 7059
 
@@ -390,8 +391,8 @@ def test_windowed_scans_run_only_on_a_failed_verdict(monkeypatch):
     assert check_jacobi_expanded(GL3, COSET, 2, 1, window).ok
     # The contraction takes its verdict from its mode-0 slice, never from
     # the representative triples, whether it passes or fails.
-    monkeypatch.setattr(loop, "class_jacobi_sweep", refuse_triples)
-    monkeypatch.setattr(loop, "_label_triples", refuse_triples)
+    monkeypatch.setattr(splitting.ModeClasses, "jacobi_defect", refuse_triples)
+    monkeypatch.setattr(splitting, "_label_triples", refuse_triples)
     assert contracted_jacobi_residuals(contracted)[0] == []
     # A failed verdict calls each lister.
     zero_mode = make_splitting(SplitKind.ZERO_MODE_SUBALGEBRA)
