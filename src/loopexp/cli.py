@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .algebra import (BUILTIN_NAMES, ContradictoryEntries, IndexOutOfRange,
                       StructureConstants, builtin_algebra, format_rational,
@@ -19,7 +20,7 @@ from .algebra import (BUILTIN_NAMES, ContradictoryEntries, IndexOutOfRange,
 from .contraction import compare_with_expansion, iw_contract
 from .expansion import (NAMED_CASES, ClosureQuotient, ExpandedAlgebra, ExpandedLabel,
                         build_named)
-from .jsonout import json_chunks
+from .jsonout import Fragment, ints, listed, report_chunks
 from .loop import ModeWindow
 from .mcforms import (DegreeTooLow, canonical_form_series, check_degree, check_grading,
                       graded_series_json, monomial_json, rescale_and_collect,
@@ -126,7 +127,7 @@ def _emit(chunks: list[str], out: str | None) -> None:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    chunks = json_chunks(payload)
+    chunks = report_chunks(payload)
     chunks.append("\n")
     _emit(chunks, out)
 
@@ -184,11 +185,14 @@ def _retained_brackets(alg: ExpandedAlgebra):
                     yield x, y, terms
 
 
-def _constants_json(alg: ExpandedAlgebra) -> list[list]:
-    # Rows share one list per label, which keeps a large report's memory down.
-    labels = {g: _label_json(g) for g in alg.generators}
-    return [[labels[x], labels[y], labels[z], format_rational(v)]
+def _constants_json(alg: ExpandedAlgebra) -> Fragment:
+    """The ``expand`` report's top-level ``constants``, pre-rendered from one
+    text per label: a [x, y, z, value] row per retained bracket term."""
+    labels = {g: ints(_label_json(g), 3) for g in alg.generators}
+    rows = [listed([labels[x], labels[y], labels[z],
+                    encode_basestring_ascii(format_rational(v))], 2)
             for x, y, terms in _retained_brackets(alg) for z, v in terms.items()]
+    return Fragment([listed(rows, 1)])
 
 
 def _latex_tables(alg: ExpandedAlgebra) -> str:

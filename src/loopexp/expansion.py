@@ -142,8 +142,6 @@ class ClosureQuotient:
         orders alpha and the source orders beta + gamma = alpha.  The existing
         betas of one alpha form a progression, and so do their partners gamma."""
         lowest, step = self.rule
-        if (lowest[target] - lowest[x] - lowest[y]) % step:
-            return 0  # no existing beta + gamma is an existing alpha
         return sum(len(orders) - len(range(lowest[s], min(orders.stop, caps[s] + 1), step))
                    for alpha in range(lowest[target], caps[target] + 1, step)
                    for s, t in ((x, y), (y, x))

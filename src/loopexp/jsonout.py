@@ -1,98 +1,62 @@
-"""The report writer's JSON text: ``json.dumps(value, sort_keys=True, indent=2)``
-byte for byte, rendered as a list of chunks.
+"""Report text: ``json.dumps(report, sort_keys=True, indent=2)``, with the
+top-level fields that arrive pre-rendered spliced in as chunks.
 
-Python's own encoder takes its pure-Python path whenever an indent is set,
-which made it the slowest stage of a large ``mc`` report.  This one handles
-only what reports hold: dicts with str keys, lists and tuples, str, int, bool
-and None; anything else raises ``TypeError``.  Strings go through the C
-``encode_basestring_ascii``, and the text of a flat int list, such as a
-label or a monomial factor, is rendered once per depth and values.
-
-A value whose producer can write its text faster than this walk, such as the
-``mc`` report's series, may be handed in pre-rendered as a :class:`Fragment`:
-its chunks are spliced in as they are.  Indentation depends on depth, so a
-fragment states the depth it was rendered for, and one placed at any other
-depth raises ``ValueError`` before anything is written.
+The two largest fields, the ``mc`` report's ``series`` and the ``expand``
+report's ``constants``, are rendered by their producers from one text per
+monomial or label, with the list helpers here, and handed in as a
+:class:`Fragment`.  :func:`report_chunks` renders every other top-level field
+on its own with ``json.dumps`` and joins the fields in key order, so no
+rendered text is ever searched: a string value may hold anything.  A fragment
+anywhere but a top-level field is not JSON-serializable and raises
+``TypeError`` before anything is written.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
+import json
 
-# Text of a scalar by exact type; subclasses of str and int take the
-# isinstance branches below, as they do in json.
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
-            bool: lambda value: "true" if value else "false",
-            type(None): lambda value: "null"}
-_INT_ONLY = {int}
+# NEWLINE[d]: a line break and the indent of depth d.
+NEWLINE = ["\n" + "  " * depth for depth in range(10)]
 
 
 class Fragment:
-    """Pre-rendered text of one value: ``chunks`` concatenate to its
-    ``json.dumps(sort_keys=True, indent=2)`` text when it sits at ``depth``."""
+    """Pre-rendered text of one top-level report field: ``chunks`` concatenate to
+    its ``json.dumps(sort_keys=True, indent=2)`` text, indented for depth 1."""
 
-    __slots__ = ("depth", "chunks")
+    __slots__ = ("chunks",)
 
-    def __init__(self, depth: int, chunks: list[str]) -> None:
-        self.depth = depth
+    def __init__(self, chunks: list[str]) -> None:
         self.chunks = chunks
 
 
-def json_chunks(value) -> list[str]:
-    """Chunks whose concatenation is ``json.dumps(value, sort_keys=True, indent=2)``."""
+def listed(texts: list[str], depth: int) -> str:
+    """The text of a list at ``depth`` whose items, at depth + 1, have ``texts``."""
+    if not texts:
+        return "[]"
+    inner = NEWLINE[depth + 1]
+    return "[" + inner + ("," + inner).join(texts) + NEWLINE[depth] + "]"
+
+
+def ints(values, depth: int) -> str:
+    """The text of a list of ints at ``depth``."""
+    return listed([*map(str, values)], depth)
+
+
+def report_chunks(report: dict) -> list[str]:
+    """Chunks whose concatenation is ``json.dumps(report, sort_keys=True,
+    indent=2)``, each :class:`Fragment` field standing for its text."""
     chunks: list[str] = []
-    append = chunks.append
-    newlines = ["\n"]  # newlines[d]: a line break and the indent of depth d
-    flat_ints: dict[tuple, str] = {}
-    scalar = _SCALARS.get
-
-    def emit(head: str, value, depth: int) -> None:
-        """Append ``head`` and then the text of ``value``, which sits at ``depth``."""
-        render = scalar(type(value))
-        if render is not None:
-            append(head + render(value))
-            return
-        if len(newlines) < depth + 2:
-            newlines.append(newlines[-1] + "  ")
-        close, inner = newlines[depth], newlines[depth + 1]
-        if isinstance(value, dict):
-            if not value:
-                append(head + "{}")
-                return
-            separator = head + "{" + inner
-            for key in sorted(value):  # a non-str key fails in encode_basestring_ascii
-                emit(separator + encode_basestring_ascii(key) + ": ", value[key], depth + 1)
-                separator = "," + inner
-            append(close + "}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                append(head + "[]")
-                return
-            if type(value[0]) is int and {*map(type, value)} == _INT_ONLY:
-                key = (depth, *value)
-                text = flat_ints.get(key)
-                if text is None:
-                    items = ("," + inner).join(map(int.__repr__, value))
-                    text = flat_ints[key] = "[" + inner + items + close + "]"
-                append(head + text)
-                return
-            separator = head + "[" + inner
-            for item in value:
-                emit(separator, item, depth + 1)
-                separator = "," + inner
-            append(close + "]")
-        elif type(value) is Fragment:
-            if value.depth != depth:
-                raise ValueError(f"a fragment rendered for depth {value.depth} "
-                                 f"sits at depth {depth}")
-            append(head)
+    separator = "{" + NEWLINE[1]
+    for key in sorted(report):
+        value = report[key]
+        head = separator + json.dumps(key) + ": "
+        if type(value) is Fragment:
+            chunks.append(head)
             chunks.extend(value.chunks)
-        elif isinstance(value, str):
-            append(head + encode_basestring_ascii(value))
-        elif isinstance(value, int):
-            append(head + int.__repr__(value))
         else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-    emit("", value, 0)
+            # JSON text holds no raw newline, so each break re-indents by one level.
+            text = json.dumps(value, sort_keys=True, indent=2)
+            chunks.append(head + text.replace("\n", NEWLINE[1]))
+        separator = "," + NEWLINE[1]
+    chunks.append(NEWLINE[0] + "}" if chunks else "{}")
     return chunks

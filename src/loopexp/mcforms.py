@@ -50,7 +50,7 @@ from math import factorial, lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .algebra import StructureConstants, format_rational
-from .jsonout import Fragment
+from .jsonout import NEWLINE, Fragment, ints, listed
 from .loop import LoopLabel, ModeWindow, enumerate_generators, label_key
 from .splitting import Splitting
 
@@ -257,10 +257,12 @@ def _folded_pairs(f: StructureConstants, c: int) -> list[tuple[int, int, Fractio
 
 def check_degree(degree: int, alpha_max: int) -> None:
     """Refuse a series degree D too low for :func:`verify_mc_equations`: its terms
-    have degree at most D-2, so none form below D = 2, and order alpha needs D > alpha."""
-    if degree < max(2, alpha_max + 1):
-        raise DegreeTooLow(f"degree {degree} cannot support order {alpha_max}; "
-                           f"need degree >= {max(2, alpha_max + 1)}")
+    have degree at most D-2, and the Jacobi identity is the degree-1 equation, so
+    below D = 3 a defect cannot show; order alpha needs D > alpha."""
+    least = max(3, alpha_max + 1)
+    if degree < least:
+        raise DegreeTooLow(f"degree {degree} cannot check order {alpha_max}; need degree "
+                           f">= {least} (3 for the Jacobi identity, alpha_max + 1 for the order)")
 
 
 def verify_mc_equations(graded: GradedSeriesResult, alpha_max: int) -> McResidualReport:
@@ -397,31 +399,20 @@ class _Memo(dict):
 
 
 def graded_series_json(graded: GradedSeriesResult) -> Fragment:
-    """Canonical dump, pre-rendered for depth 1, where the ``mc`` report holds
-    it: per label, buckets of {power, terms} rows, each term a {coef,
-    differential, monomial} row, in ``json.dumps(sort_keys=True, indent=2)``
-    text.  Each distinct monomial and differential is rendered once, and each
-    coefficient once per distinct (numerator, degree)."""
-    depth = 1
-    nl = ["\n" + "  " * (depth + i) for i in range(9)]  # nl[i]: a break to depth + i
-
-    def listed(texts: list[str], i: int) -> str:
-        """A list at depth + i of items rendered at depth + i + 1."""
-        if not texts:
-            return "[]"
-        return "[" + nl[i + 1] + ("," + nl[i + 1]).join(texts) + nl[i] + "]"
-
-    def ints(values, i: int) -> str:
-        return listed([*map(str, values)], i)
-
-    # A term at depth + 5 is coefs[k][num] + diffs[diff] + mons[mon].
-    coefs = [_Memo(lambda num, den=den: "{" + nl[6] + '"coef": ' + encode_basestring_ascii(
-                 format_rational(Fraction(num, den))) + "," + nl[6] + '"differential": ')
+    """Canonical dump, pre-rendered as the ``mc`` report's top-level ``series``:
+    per label, buckets of {power, terms} rows, each term a {coef, differential,
+    monomial} row, in ``json.dumps(sort_keys=True, indent=2)`` text.  Each
+    distinct monomial and differential is rendered once, and each coefficient
+    once per distinct (numerator, degree)."""
+    nl = NEWLINE
+    # A term at depth 6 is coefs[k][num] + diffs[diff] + mons[mon].
+    coefs = [_Memo(lambda num, den=den: "{" + nl[7] + '"coef": ' + encode_basestring_ascii(
+                 format_rational(Fraction(num, den))) + "," + nl[7] + '"differential": ')
              for den in graded.denominators]
-    diffs = _Memo(lambda diff: ints(diff[::-1], 6) + "," + nl[6] + '"monomial": ')
-    factors = _Memo(lambda x: ints(x, 7))
-    mons = _Memo(lambda mon: listed([factors[(*x,)] for x in monomial_json(mon)], 6)
-                 + nl[5] + "}")
+    diffs = _Memo(lambda diff: ints(diff[::-1], 7) + "," + nl[7] + '"monomial": ')
+    factors = _Memo(lambda x: ints(x, 8))
+    mons = _Memo(lambda mon: listed([factors[(*x,)] for x in monomial_json(mon)], 7)
+                 + nl[6] + "}")
     chunks = []
     for label in sorted(graded.by_label, key=label_key):
         buckets = []
@@ -430,13 +421,13 @@ def graded_series_json(graded: GradedSeriesResult) -> Fragment:
             if terms:
                 texts = [coefs[len(key[0])][terms[key]] + diffs[key[1]] + mons[key[0]]
                          for key in sorted(terms)]
-                buckets.append("{" + nl[4] + f'"power": {power},' + nl[4] + '"terms": '
-                               + listed(texts, 4) + nl[3] + "}")
+                buckets.append("{" + nl[5] + f'"power": {power},' + nl[5] + '"terms": '
+                               + listed(texts, 5) + nl[4] + "}")
         # Each row follows its separator; the first separator opens the list.
-        chunks += ("," + nl[1], "{" + nl[2] + '"label": ' + ints((label.gen, label.mode), 2)
-                   + "," + nl[2] + '"series": ' + listed(buckets, 2) + nl[1] + "}")
+        chunks += ("," + nl[2], "{" + nl[3] + '"label": ' + ints((label.gen, label.mode), 3)
+                   + "," + nl[3] + '"series": ' + listed(buckets, 3) + nl[2] + "}")
     if not chunks:
-        return Fragment(depth, ["[]"])
-    chunks[0] = "[" + nl[1]
-    chunks.append(nl[0] + "]")
-    return Fragment(depth, chunks)
+        return Fragment(["[]"])
+    chunks[0] = "[" + nl[2]
+    chunks.append(nl[1] + "]")
+    return Fragment(chunks)

@@ -184,8 +184,9 @@ def test_mc_degree_too_low():
 
 
 def test_mc_at_degree_one_is_refused_not_passed(tmp_path, capsys):
-    # Residual terms have degree at most D-2, so at D = 1 no term is formed:
-    # this non-Lie tensor once passed there with terms_checked 0 and exit 0.
+    # Residual terms have degree at most D-2, so at D = 1 no term is formed and
+    # at D = 2 only degree 0, below the Jacobi identity: this non-Lie tensor
+    # once passed at both, with exit 0.
     fixture = tmp_path / "nonlie.json"
     entries = [{"a": a, "b": b, "c": c, "value": "1"}
                for a, b, c in ((1, 2, 3), (1, 3, 1), (2, 3, 2))]
@@ -196,9 +197,9 @@ def test_mc_at_degree_one_is_refused_not_passed(tmp_path, capsys):
     assert run("validate", "--algebra", str(fixture), "--out", str(out)) == 1
     assert len(read(out)["jacobi_defects"]) == 6
     out.unlink()
-    assert run(*argv, "-D", "1") == 2
-    assert capsys.readouterr().err.startswith("error: ") and not out.exists()
-    assert run(*argv, "-D", "2") == 0
+    for degree in ("1", "2"):
+        assert run(*argv, "-D", degree) == 2
+        assert capsys.readouterr().err.startswith("error: ") and not out.exists()
     assert run(*argv, "-D", "3") == 1 and not read(out)["residuals_ok"]
 
 
@@ -288,7 +289,7 @@ SETTING_RUNS = {
     "n1": (0, ["expand", "-a", "epsilon3", "--split", "zero_mode", "--n0", "1"],
            ["--n1", "2"], 2, 1, 1, lambda r: r["n1"]),
     "window": (1, ["contract", "-a", "epsilon3"], ["-M", "2"], 2, 0, 0, lambda r: r["window"]),
-    "degree": (4, MC_SMALL + ["--alpha-max", "1"], ["-D", "3"], 3, 2, 2,
+    "degree": (4, MC_SMALL + ["--alpha-max", "1"], ["-D", "3"], 3, 5, 5,
                lambda r: r["degree"]),
     "alpha_max": (2, MC_SMALL + ["-D", "3"], ["--alpha-max", "1"], 1, 0, 0,
                   lambda r: r["alpha_max"]),

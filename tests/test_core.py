@@ -156,6 +156,17 @@ def test_loader_rejects_nonzero_diagonal():
         algebra_from_dict(data)
 
 
+def test_loader_skips_a_zero_diagonal_entry():
+    data = {"dim": 2, "entries": [{"a": 1, "b": 1, "c": 2, "value": "0"},
+                                  {"a": 1, "b": 2, "c": 1, "value": "1"}]}
+    assert algebra_from_dict(data).entries == {(1, 2, 1): 1}
+
+
+def test_builtin_algebra_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown built-in algebra 'epsilon4'"):
+        builtin_algebra("epsilon4")
+
+
 def test_loader_rejects_decimal_value():
     data = {"dim": 2, "entries": [{"a": 1, "b": 2, "c": 1, "value": "0.5"}]}
     with pytest.raises(ValueError):

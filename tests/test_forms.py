@@ -335,6 +335,19 @@ def test_grading_checker_flags_doctored_bucket():
 EPS_SERIES = canonical_form_series(EPS, ModeWindow(1), 3)
 
 
+def test_grading_skips_an_empty_bucket():
+    # On the coset a sector-0 label has no order 1, so only the skip of an
+    # empty bucket keeps this one from being flagged.
+    graded = rescale_and_collect(EPS_SERIES, COSET)
+    label = LoopLabel(1, 0)
+    assert not COSET.exists(label, 1)
+    by_power = {**graded.by_label[label], 1: FormPolynomial()}
+    doctored = GradedSeriesResult(graded.base, {**graded.by_label, label: by_power},
+                                  graded.denominators, graded.degree, graded.window, COSET,
+                                  graded.censored)
+    assert check_grading(doctored).ok
+
+
 def _flagged(violations):
     return [(label, power) for label, power, _ in violations]
 
@@ -471,11 +484,9 @@ def test_order_zero_equation_reproduced_from_zero_mode_buckets():
 
 
 def rendered(graded):
-    """The pre-rendered series text, checked to be made for depth 1, where the
-    ``mc`` report holds it."""
-    fragment = graded_series_json(graded)
-    assert fragment.depth == 1
-    return "".join(fragment.chunks)
+    """The pre-rendered series text, indented for depth 1, where the ``mc``
+    report holds it."""
+    return "".join(graded_series_json(graded).chunks)
 
 
 def oracle_text(fraction_graded_series):
@@ -581,8 +592,9 @@ def test_residual_pass_matches_legacy_oracle(name, kind, window, degree, data):
         window, degree = min(window, 1), min(degree, 3)
     alpha_max = data.draw(st.integers(0, degree - 1))
     f, split, graded = _graded(name, kind, window, degree)
-    if degree == 1:
-        # Residual terms have degree at most D-2, so D = 1 would check none.
+    if degree <= 2:
+        # Residual terms have degree at most D-2, so D = 1 would check none and
+        # D = 2 none of the Jacobi identity's degree 1.
         with pytest.raises(DegreeTooLow):
             verify_mc_equations(graded, alpha_max)
         return
@@ -616,13 +628,18 @@ JACOBI_VISIBLE = [(0, 3, 0), (1, 3, 1), (0, 4, 0)]
 def test_mc_sees_a_jacobi_defect_from_degree_three(f, split):
     # The Jacobi identity is the degree-1 MC equation and residual terms have
     # degree at most D-2, so the mc verdict on the mode-graded kinds is
-    # validate's from D = 3, while at D = 2 every antisymmetric tensor passes.
+    # validate's from D = 3.  At D = 2 every antisymmetric tensor would pass,
+    # so that degree is refused.
     lie = not validate(f).jacobi
     assert f is not NON_LIE or not lie
     for window, degree, alpha_max in JACOBI_VISIBLE + [(0, 2, 0), (1, 2, 1)]:
         graded = rescale_and_collect(canonical_form_series(f, ModeWindow(window), degree),
                                      split)
-        assert verify_mc_equations(graded, alpha_max).ok == (lie or degree == 2)
+        if degree == 2:
+            with pytest.raises(DegreeTooLow):
+                verify_mc_equations(graded, alpha_max)
+        else:
+            assert verify_mc_equations(graded, alpha_max).ok == lie
 
 
 SERIES_ALGEBRAS = {"epsilon3": EPS, "solvable2": builtin_algebra("solvable2"),

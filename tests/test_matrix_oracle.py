@@ -1,7 +1,9 @@
 """The canonical-form series against g^{-1} dg computed with matrices.
 
-The oracle takes the adjoint representation rho of a centreless algebra, which
-is faithful, and maps the loop generator T_a^n to rho(T_a) t^n.  It builds
+The oracle takes a faithful representation rho and maps the loop generator
+T_a^n to rho(T_a) t^n: the adjoint one for a centreless algebra (epsilon3,
+solvable2), and the defining one, by matrix units, for gl(3), whose centre
+makes its adjoint representation unfaithful.  It builds
 g = exp(A) and g^{-1} = exp(-A), with A = sum x^(a,n) rho(T_a) t^n, as
 truncated power series in the coordinates with exact ``Fraction`` matrix
 coefficients.  The power of t of a coordinate monomial is the sum of its
@@ -21,8 +23,10 @@ from itertools import permutations, product
 
 import pytest
 
-from loopexp import ModeWindow, builtin_algebra, canonical_form_series
+from loopexp import ModeWindow, algebra_from_dict, builtin_algebra, canonical_form_series
 from loopexp.mcforms import term_mode_safe
+
+from test_golden import DEFINITIONS
 
 # f_ab^c for each ordered pair with a nonzero bracket.
 LEVI_CIVITA = {perm: (1 if perm in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1)
@@ -39,6 +43,16 @@ def adjoint(dim: int, constants: dict) -> dict:
     for (a, b, c), value in constants.items():
         rho[a][c - 1][b - 1] = Fraction(value)
     return rho
+
+
+def matrix_unit(i: int, j: int) -> list:
+    """E_ij of gl(3), 1-based."""
+    return [[Fraction(int((row, col) == (i, j))) for col in range(1, 4)] for row in range(1, 4)]
+
+
+# gl(3) in its defining representation: T_a is E_ij with a = 3(i-1) + j, the
+# numbering of the golden gl(3) definition.
+GL3_DEFINING = {3 * (i - 1) + j: matrix_unit(i, j) for i in range(1, 4) for j in range(1, 4)}
 
 
 def matmul(x: list, y: list) -> list:
@@ -71,9 +85,9 @@ def series_product(p: dict, q: dict, max_degree: int) -> dict:
     return out
 
 
-def exp_series(a: dict, dim: int, max_degree: int) -> dict:
-    """exp(a) = sum a^k / k! through ``max_degree``."""
-    identity = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+def exp_series(a: dict, size: int, max_degree: int) -> dict:
+    """exp(a) = sum a^k / k! of ``size`` x ``size`` matrices through ``max_degree``."""
+    identity = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
     total, power = {(): identity}, {(): identity}
     for k in range(1, max_degree + 1):
         power = {mon: [[v / k for v in row] for row in matrix]
@@ -87,9 +101,9 @@ def decompose(matrix: list, basis: dict) -> dict:
     """The coefficients w with matrix = sum w_c basis[c], by exact elimination;
     the basis must be linearly independent and the matrix in its span."""
     gens = sorted(basis)
-    dim = len(matrix)
+    size = len(matrix)
     rows = [[basis[c][i][j] for c in gens] + [matrix[i][j]]
-            for i in range(dim) for j in range(dim)]
+            for i in range(size) for j in range(size)]
     for col in range(len(gens)):
         pivot = next(r for r in range(col, len(rows)) if rows[r][col])
         rows[col], rows[pivot] = rows[pivot], rows[col]
@@ -102,17 +116,17 @@ def decompose(matrix: list, basis: dict) -> dict:
     return {c: rows[i][-1] for i, c in enumerate(gens)}
 
 
-def matrix_canonical_form(name: str, max_abs_mode: int, degree: int) -> dict:
+def matrix_canonical_form(rho: dict, max_abs_mode: int, degree: int) -> dict:
     """{(label gen, label mode): {(monomial, differential): coefficient}} of
-    g^{-1} dg through coordinate degree ``degree - 1``, with factors as
-    (mode, gen) pairs like the package's store."""
-    dim, constants = CONSTANTS[name]
-    rho = adjoint(dim, constants)
-    coords = [(n, a) for n in range(-max_abs_mode, max_abs_mode + 1) for a in range(1, dim + 1)]
+    g^{-1} dg in the representation ``rho`` (generator -> matrix) through
+    coordinate degree ``degree - 1``, with factors as (mode, gen) pairs like
+    the package's store."""
+    size = len(rho[1])
+    coords = [(n, a) for n in range(-max_abs_mode, max_abs_mode + 1) for a in sorted(rho)]
     a_series = {(coord,): rho[coord[1]] for coord in coords}
-    g = exp_series(a_series, dim, degree)
+    g = exp_series(a_series, size, degree)
     g_inv = exp_series({mon: [[-v for v in row] for row in m] for mon, m in a_series.items()},
-                       dim, degree - 1)
+                       size, degree - 1)
     out: dict = {}
     for coord in coords:
         # d/dx^coord of each monomial of g: its multiplicity, one factor removed.
@@ -129,12 +143,11 @@ def matrix_canonical_form(name: str, max_abs_mode: int, degree: int) -> dict:
     return out
 
 
-@pytest.mark.parametrize("name", sorted(CONSTANTS))
-@pytest.mark.parametrize("max_abs_mode, degree", [(0, 4), (1, 3)])
-def test_series_is_the_matrix_canonical_form(name, max_abs_mode, degree):
+def assert_series_is_the_matrix_canonical_form(f, rho: dict, max_abs_mode: int,
+                                               degree: int) -> None:
     window = ModeWindow(max_abs_mode)
-    series = canonical_form_series(builtin_algebra(name), window, degree)
-    truth = matrix_canonical_form(name, max_abs_mode, degree)
+    series = canonical_form_series(f, window, degree)
+    truth = matrix_canonical_form(rho, max_abs_mode, degree)
     compared = 0
     for label, poly in series.forms.items():
         true_terms = truth.get((label.gen, label.mode), {})
@@ -148,3 +161,16 @@ def test_series_is_the_matrix_canonical_form(name, max_abs_mode, degree):
             if term_mode_safe(mon, diff, window):
                 assert (mon, diff) in poly.terms, (label, mon, diff, value)
     assert compared > 0
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANTS))
+@pytest.mark.parametrize("max_abs_mode, degree", [(0, 4), (1, 3)])
+def test_series_is_the_matrix_canonical_form(name, max_abs_mode, degree):
+    dim, constants = CONSTANTS[name]
+    assert_series_is_the_matrix_canonical_form(builtin_algebra(name), adjoint(dim, constants),
+                                               max_abs_mode, degree)
+
+
+def test_gl3_series_is_the_defining_matrix_canonical_form():
+    assert_series_is_the_matrix_canonical_form(algebra_from_dict(DEFINITIONS["gl3"]),
+                                               GL3_DEFINING, 0, 3)

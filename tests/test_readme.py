@@ -1,10 +1,16 @@
 """The README's Library examples run as written, in order and in one namespace,
 and every expression whose line ends in a comment evaluates to the literal
-that comment starts with (``# True``, ``# 12``, ``# (True, [])``)."""
+that comment starts with (``# True``, ``# 12``, ``# (True, [])``).  Every
+backticked ``loopexp.<module>.<name>`` resolves, and every ``loopexp`` line
+of the Command line block parses."""
 
 import ast
+import importlib
 import re
+import shlex
 from pathlib import Path
+
+from loopexp.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # A comment after code on the same line.
@@ -53,3 +59,21 @@ def test_library_example_verdict_comments_hold():
                 assert not result, line
                 exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
     assert checked == marked > 0
+
+
+def test_named_objects_exist():
+    names = re.findall(r"`loopexp\.(\w+)\.([\w.]+)`", README.read_text(encoding="utf-8"))
+    assert len(names) >= 9
+    for module, path in names:
+        value = importlib.import_module(f"loopexp.{module}")
+        for attribute in path.split("."):
+            value = getattr(value, attribute)
+
+
+def test_command_line_examples_parse():
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("loopexp ")]
+    assert len(lines) == 7
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
